@@ -1,13 +1,19 @@
 package sgb
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"github.com/sgb-db/sgb/internal/core"
+	"github.com/sgb-db/sgb/internal/exec"
+	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/storage"
+	"github.com/sgb-db/sgb/internal/types"
 )
 
 // The shared evaluator cache. Every session of a DB draws its cached
@@ -54,11 +60,12 @@ type incrKey struct {
 // inserts restoring the old length detectable.
 //
 // mu is the entry's singleflight lock: every build, append, export,
-// maintenance feed, and result read holds it, so concurrent sessions
-// hitting one key serialize on the entry — the first builds, the rest
-// reuse — and the single-threaded evaluators underneath never see
-// concurrent calls. All fields below mu are guarded by it; lastUse is
-// atomic because the cache touches it under shard locks instead.
+// maintenance feed, and answer build holds it, so concurrent sessions
+// advancing one key serialize on the entry — the first builds, the
+// rest reuse — and the single-threaded evaluators underneath never see
+// concurrent calls. A query whose snapshot generation matches the
+// published answer takes no entry lock at all. All fields below mu are
+// guarded by it; published and lastUse are atomic.
 type incrEntry struct {
 	mu    sync.Mutex
 	table *storage.Table // identity guard against DROP + re-CREATE
@@ -79,7 +86,27 @@ type incrEntry struct {
 	// maintaining this entry, across every session that used it.
 	stats core.Stats
 
-	lastUse atomic.Int64 // cache clock reading at the entry's last use
+	// published is the entry's answer for one table generation (and,
+	// for a lattice entry, one ε list): built under mu at most once per
+	// generation, then read without mu by every query whose snapshot
+	// has that generation. A stamp older than gen stays readable by
+	// queries whose snapshots predate the later mutations.
+	published atomic.Pointer[answer]
+	lastUse   atomic.Int64 // cache clock reading at the entry's last use
+}
+
+// answer is an exec.Answer stamped with the table state it answers.
+type answer struct {
+	table *storage.Table
+	gen   int64
+	eps   []float64 // the ε list of a lattice answer; nil otherwise
+	*exec.Answer
+}
+
+// answers reports whether a is the answer for generation gen of t at
+// the ε list eps.
+func (a *answer) answers(t *storage.Table, gen int64, eps []float64) bool {
+	return a != nil && a.table == t && a.gen == gen && slices.Equal(a.eps, eps)
 }
 
 // evalCache is the sharded, LRU-bounded entry store.
@@ -273,4 +300,217 @@ func (db *DB) CacheStats() Stats {
 		total.Merge(&s)
 	}
 	return total
+}
+
+// cacheQuery is one planned query's use of the cache: its entry key
+// and how to build, advance, and read the state behind that entry.
+type cacheQuery struct {
+	key     incrKey
+	anySem  bool
+	epsList []float64    // non-empty: an EPS IN sweep over a lattice entry
+	opt     core.Options // no Stats, Parallelism 0 (see sgbCacheHook)
+	// st is a sweep query's own counter block (never retained in the
+	// entry); single-ε queries count nothing per query, since cached
+	// state outlives any one query's counters.
+	st *core.Stats
+}
+
+// sgbCacheHook implements plan.Builder.SGBCache. The returned hook
+// finds (or creates) the shared entry for this (table, grouping
+// configuration) pair and answers the query from it. A query whose
+// snapshot generation matches the entry's published answer returns
+// that answer without taking the entry lock. Otherwise the hook locks
+// the entry, extracts grouping points only for the rows past consumed,
+// appends them, and publishes the answer for the new generation.
+// Soundness rests on three facts: the planner installs the hook only
+// for bare single-table scans whose grouping expressions hold no
+// subquery, table snapshots grow append-only between generation changes
+// the cache tracks, and the cache key covers the table identity, the
+// grouping expressions, and every resolved option that can influence
+// the grouping.
+//
+// Single-ε entries hold an incr.Incremental and are keyed by every
+// option. Sweep (EPS IN) entries hold a shared ε-lattice dendrogram,
+// keyed ONLY by the table, the metric and the grouping expressions — not
+// ε, and none of the options that cannot change SGB-Any components — so
+// sessions differing only in their ε lists share one dendrogram: the
+// first query builds it up to its ε_max, and later sweeps at or below
+// that bound compute no distances. A sweep above the cached ε_max
+// rebuilds the entry at the larger bound; DELETE invalidates lattice
+// entries (see noteDelete).
+//
+// Concurrency: the entry lock is the singleflight slot. N sessions
+// missing on one key at once all acquire the same entry; the first
+// builds the evaluator (charging the work to the entry's shared Stats)
+// and publishes the answer, and the rest find it published — one build
+// total, which DB.CacheStats can prove. A session whose snapshot is
+// OLDER than the entry's state never rewinds shared state: it reads a
+// published answer stamped with its generation if there is one, else it
+// answers privately with a one-shot evaluation over its own snapshot.
+func (db *DB) sgbCacheHook(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.Hook {
+	q := &cacheQuery{key: incrKey{table: strings.ToLower(table)}, anySem: anySem, epsList: epsList, opt: opt, st: opt.Stats}
+	// Cached state outlives any single query, so per-query knobs that
+	// cannot change the grouping are normalized out of both the state
+	// and the fingerprint: appends run sequentially, and no query's
+	// Stats block is retained.
+	q.opt.Stats = nil
+	q.opt.Parallelism = 0
+	if len(epsList) > 0 {
+		q.key.fingerprint = fmt.Sprintf("lattice|metric=%v|by=%s", opt.Metric, exprKey)
+	} else {
+		q.st = nil
+		q.key.fingerprint = fmt.Sprintf("any=%t|metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|hyst=%v|nohull=%t|by=%s",
+			anySem, opt.Metric, opt.Eps, opt.Overlap, opt.Algorithm, opt.Seed,
+			opt.IndexHysteresis, opt.NoHullTest, exprKey)
+	}
+	return func(t *storage.Table, rows []types.Row, gen int64, extract exec.ExtractFunc) (*exec.Answer, error) {
+		e := db.cache.acquire(q.key)
+		if a := e.published.Load(); a.answers(t, gen, q.epsList) {
+			return a.Answer, nil
+		}
+		if a, err := q.advance(e, t, rows, gen, extract); a != nil || err != nil {
+			return a, err
+		}
+		points, err := extract(rows, 0)
+		if err != nil {
+			return nil, err
+		}
+		results, err := q.oneShot(points)
+		if err != nil {
+			return nil, err
+		}
+		return &exec.Answer{Results: results}, nil
+	}
+}
+
+// advance brings e up to the snapshot (rows at generation gen of t) and
+// publishes the answer for it. It returns nil, nil when the snapshot is
+// older than the entry's state, which the caller then answers privately.
+// A failed extraction (say, a NULL grouping attribute in the delta)
+// leaves the entry as it was.
+func (q *cacheQuery) advance(e *incrEntry, t *storage.Table, rows []types.Row, gen int64, extract exec.ExtractFunc) (*exec.Answer, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if a := e.published.Load(); a.answers(t, gen, q.epsList) {
+		return a.Answer, nil // published while this query waited for the lock
+	}
+	built := e.table == t && (e.inc != nil || e.lat != nil)
+	if built && gen < e.gen {
+		return nil, nil
+	}
+	// The generation check is the staleness guard: an entry whose stamp
+	// does not match the snapshot's generation missed a mutation (a
+	// delete through a path the cache could not track, a direct storage
+	// append, ...). A row-count check alone is not enough — a delete
+	// followed by inserts restoring the old count would slip past it and
+	// serve groups over rows that no longer exist.
+	fresh := !built || e.gen != gen || e.consumed > len(rows) || !q.fits(e)
+	from := e.consumed
+	if fresh {
+		from = 0
+	}
+	points, err := extract(rows, from)
+	if err != nil {
+		return nil, err
+	}
+	if fresh {
+		if err := q.reset(e, points.Dims()); err != nil {
+			return nil, err
+		}
+		e.table, e.consumed, e.gen = t, 0, gen
+	}
+	if points.Len() > 0 {
+		if err := q.append(e, points); err != nil {
+			// A torn append leaves the evaluator holding an unknown
+			// prefix; poison the entry so the next query rebuilds.
+			e.inc, e.lat = nil, nil
+			return nil, err
+		}
+		e.consumed = len(rows)
+	}
+	var results []*core.Result
+	if e.lat != nil {
+		results, err = e.lat.Sweep(q.epsList)
+	} else {
+		var res *core.Result
+		res, err = e.inc.Result()
+		results = []*core.Result{res}
+	}
+	if err != nil {
+		return nil, err
+	}
+	a := &answer{table: t, gen: gen, eps: q.epsList, Answer: &exec.Answer{Results: results}}
+	e.published.Store(a)
+	return a.Answer, nil
+}
+
+// fits reports whether e's evaluator is of the query's kind and covers
+// its ε levels.
+func (q *cacheQuery) fits(e *incrEntry) bool {
+	if len(q.epsList) > 0 {
+		return e.lat != nil && e.lat.EpsMax() >= q.opt.Eps
+	}
+	return e.inc != nil
+}
+
+// reset gives e a fresh, empty evaluator of the query's kind.
+func (q *cacheQuery) reset(e *incrEntry, dims int) error {
+	bopt := q.opt
+	if len(q.epsList) > 0 {
+		lat, err := core.NewLatticeEvaluator(dims, bopt)
+		if err != nil {
+			return err
+		}
+		e.inc, e.lat = nil, lat
+		return nil
+	}
+	sem := incr.All
+	if q.anySem {
+		sem = incr.Any
+	}
+	bopt.Stats = &e.stats
+	inc, err := incr.New(sem, bopt)
+	if err != nil {
+		return err
+	}
+	e.inc, e.lat = inc, nil
+	return nil
+}
+
+// append feeds points to e's evaluator, charging the work to the
+// entry's shared counters (and a sweep query's own).
+func (q *cacheQuery) append(e *incrEntry, points *geom.PointSet) error {
+	if e.inc != nil {
+		return e.inc.AppendSet(points)
+	}
+	var st core.Stats
+	if err := e.lat.AppendSet(points, &st); err != nil {
+		return err
+	}
+	e.stats.Merge(&st)
+	if q.st != nil {
+		q.st.Merge(&st)
+	}
+	return nil
+}
+
+// oneShot evaluates the query from scratch over points — the private
+// answer of a snapshot older than the shared state.
+func (q *cacheQuery) oneShot(points *geom.PointSet) ([]*core.Result, error) {
+	o := q.opt
+	o.Stats = q.st
+	if len(q.epsList) > 0 {
+		return core.SweepAnySet(points, q.epsList, o)
+	}
+	var res *core.Result
+	var err error
+	if q.anySem {
+		res, err = core.SGBAnySet(points, o)
+	} else {
+		res, err = core.SGBAllSet(points, o)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return []*core.Result{res}, nil
 }

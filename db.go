@@ -6,10 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/exec"
-	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/plan"
 	"github.com/sgb-db/sgb/internal/sqlparser"
 	"github.com/sgb-db/sgb/internal/storage"
@@ -390,8 +387,7 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 	b.SGBSeed = opt.Seed
 	b.SGBStats = opt.Stats
 	if opt.Incremental {
-		b.SGBIncr = db.sgbIncrGroupFunc
-		b.SGBSweep = db.sgbSweepFunc
+		b.SGBCache = db.sgbCacheHook
 	}
 	cq, err := b.BuildSelect(sel)
 	if err != nil {
@@ -402,181 +398,6 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 		return nil, err
 	}
 	return &Rows{Columns: cq.Columns, Data: data}, nil
-}
-
-// sgbIncrGroupFunc implements plan.Builder.SGBIncr: it returns the
-// grouping closure the SGB executor node calls with the query's
-// materialized points and the snapshot generation they were scanned
-// at. The closure finds (or creates) the shared cached state for this
-// (table, grouping configuration) pair and appends only the points
-// beyond what the state has already absorbed. Soundness rests on three
-// facts: the planner installs the hook only for bare single-table
-// scans, table snapshots grow append-only between generation changes
-// the cache tracks, and the cache key covers the table identity, the
-// grouping expressions, and every resolved option that can influence
-// the grouping.
-//
-// Concurrency: the entry's lock is the singleflight slot. N sessions
-// missing on one key at once all acquire the same entry; the first
-// builds the evaluator (charging the work to the entry's shared Stats)
-// and the rest find it current and only read the result — one build
-// total, which DB.CacheStats can prove. A session whose snapshot is
-// OLDER than the entry's generation (a writer advanced the shared
-// state between the session's scan and now) never rewinds shared
-// state; it answers privately with a one-shot evaluation over its own
-// snapshot points.
-func (db *DB) sgbIncrGroupFunc(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc {
-	// Cached state outlives any single query, so per-query knobs that
-	// cannot change the grouping are normalized out of both the handle
-	// and the fingerprint: appends run sequentially (Parallelism), and
-	// a query's Stats block is not retained.
-	opt.Stats = nil
-	opt.Parallelism = 0
-	key := incrKey{
-		table: strings.ToLower(table),
-		fingerprint: fmt.Sprintf("any=%t|metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|hyst=%v|nohull=%t|by=%s",
-			anySem, opt.Metric, opt.Eps, opt.Overlap, opt.Algorithm, opt.Seed,
-			opt.IndexHysteresis, opt.NoHullTest, exprKey),
-	}
-	oneShot := func(points *geom.PointSet) (*core.Result, error) {
-		if anySem {
-			return core.SGBAnySet(points, opt)
-		}
-		return core.SGBAllSet(points, opt)
-	}
-	return func(points *geom.PointSet, gen int64) (*core.Result, error) {
-		t, err := db.cat.Lookup(table)
-		if err != nil {
-			return nil, err
-		}
-		if gen < 0 {
-			// Not a table-scan snapshot (hand-built plan): nothing to key
-			// cached state to.
-			return oneShot(points)
-		}
-		e := db.cache.acquire(key)
-		e.mu.Lock()
-		if e.inc != nil && e.table == t && gen < e.gen {
-			// The shared evaluator moved past this query's snapshot.
-			// Serve the old snapshot privately rather than rewind state
-			// other sessions are advancing.
-			e.mu.Unlock()
-			return oneShot(points)
-		}
-		// The generation check is the staleness guard: an entry whose
-		// stamp does not match the snapshot's generation missed a
-		// mutation (a delete through a path the cache could not track, a
-		// direct storage append, ...). A row-count check alone is not
-		// enough — a delete followed by inserts restoring the old count
-		// would slip past it and serve groups over rows that no longer
-		// exist.
-		if e.inc == nil || e.table != t || e.gen != gen || e.consumed > points.Len() {
-			sem := incr.All
-			if anySem {
-				sem = incr.Any
-			}
-			bopt := opt
-			bopt.Stats = &e.stats
-			inc, err := incr.New(sem, bopt)
-			if err != nil {
-				e.mu.Unlock()
-				return nil, err
-			}
-			e.inc, e.lat = inc, nil
-			e.table = t
-			e.consumed = 0
-			e.gen = gen
-		}
-		if points.Len() > e.consumed {
-			if err := e.inc.AppendSet(points.Slice(e.consumed, points.Len())); err != nil {
-				// A torn append leaves the evaluator holding an unknown
-				// prefix; poison the entry so the next query rebuilds.
-				e.inc = nil
-				e.mu.Unlock()
-				return nil, err
-			}
-			e.consumed = points.Len()
-		}
-		res, err := e.inc.Result()
-		e.mu.Unlock()
-		return res, err
-	}
-}
-
-// sgbSweepFunc implements plan.Builder.SGBSweep: the EPS IN sibling of
-// sgbIncrGroupFunc. Its fingerprint covers ONLY the table, the metric,
-// and the grouping expressions — not ε, and none of the options that
-// cannot change SGB-Any components (algorithm, seed, overlap,
-// hysteresis) — so two sessions differing only in their ε lists share
-// one maintained dendrogram: the first query builds it up to its
-// ε_max, and every later sweep at or below that bound is answered
-// without a single distance computation (asserted by the Stats
-// regression test). A sweep above the cached ε_max rebuilds the entry
-// at the larger bound; INSERTs extend it through the usual consumed /
-// gen protocol; DELETE invalidates it (see noteDelete). The per-query
-// Stats block counts only the work this query's append contributed;
-// the entry's shared counters accumulate the same work for
-// DB.CacheStats.
-func (db *DB) sgbSweepFunc(table, exprKey string, epsList []float64, opt core.Options) exec.SweepFunc {
-	st := opt.Stats // per-query counter block; never retained in the entry
-	opt.Stats = nil
-	opt.Parallelism = 0
-	key := incrKey{
-		table:       strings.ToLower(table),
-		fingerprint: fmt.Sprintf("lattice|metric=%v|by=%s", opt.Metric, exprKey),
-	}
-	epsMax := epsList[len(epsList)-1] // the planner sorts ascending
-	oneShot := func(points *geom.PointSet) ([]*core.Result, error) {
-		o := opt
-		o.Stats = st
-		o.Eps = epsMax
-		return core.SweepAnySet(points, epsList, o)
-	}
-	return func(points *geom.PointSet, gen int64) ([]*core.Result, error) {
-		t, err := db.cat.Lookup(table)
-		if err != nil {
-			return nil, err
-		}
-		if gen < 0 {
-			return oneShot(points)
-		}
-		e := db.cache.acquire(key)
-		e.mu.Lock()
-		if e.lat != nil && e.table == t && gen < e.gen {
-			e.mu.Unlock()
-			return oneShot(points)
-		}
-		if e.lat == nil || e.table != t || e.gen != gen ||
-			e.consumed > points.Len() || e.lat.EpsMax() < epsMax {
-			bopt := opt
-			bopt.Eps = epsMax
-			lat, err := core.NewLatticeEvaluator(points.Dims(), bopt)
-			if err != nil {
-				e.mu.Unlock()
-				return nil, err
-			}
-			e.lat, e.inc = lat, nil
-			e.table = t
-			e.consumed = 0
-			e.gen = gen
-		}
-		if points.Len() > e.consumed {
-			var qst core.Stats
-			if err := e.lat.AppendSet(points.Slice(e.consumed, points.Len()), &qst); err != nil {
-				e.lat = nil
-				e.mu.Unlock()
-				return nil, err
-			}
-			e.consumed = points.Len()
-			e.stats.Merge(&qst)
-			if st != nil {
-				st.Merge(&qst)
-			}
-		}
-		res, err := e.lat.Sweep(epsList)
-		e.mu.Unlock()
-		return res, err
-	}
 }
 
 // LoadCSV creates a table from CSV previously written by DumpCSV (the

@@ -143,7 +143,7 @@ type AllState struct {
 	// constant of the evaluation — the seed base, not a stream cursor —
 	// but it is still state: Options.Seed alone does not reconstruct it
 	// for snapshots taken by future format versions.
-	RandState uint64
+	RandState  uint64
 	StageFloor int     // FORM-NEW-GROUP stage freeze floor
 	Eliminated []int32 // stored indices dropped by ELIMINATE
 	Deferred   []int32 // S′: stored indices deferred by FORM-NEW-GROUP

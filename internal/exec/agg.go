@@ -75,10 +75,12 @@ func (a AggSpec) Validate() error {
 	return nil
 }
 
-// accumulator folds rows into one aggregate value.
+// accumulator folds rows into one aggregate value. reset empties it
+// for the next group, so one accumulator serves a whole fold.
 type accumulator interface {
 	add(row types.Row) error
 	result() types.Value
+	reset()
 }
 
 func (a AggSpec) newAccumulator() accumulator {
@@ -123,6 +125,7 @@ func (c *countAcc) add(row types.Row) error {
 	return nil
 }
 func (c *countAcc) result() types.Value { return types.Int(c.n) }
+func (c *countAcc) reset()              { *c = countAcc{arg: c.arg} }
 
 // sumAcc keeps integer sums exact, promoting to float on the first
 // float input (SQL numeric promotion).
@@ -155,6 +158,7 @@ func (s *sumAcc) add(row types.Row) error {
 	}
 	return nil
 }
+func (s *sumAcc) reset() { *s = sumAcc{arg: s.arg} }
 func (s *sumAcc) result() types.Value {
 	if !s.anyRow {
 		return types.Null()
@@ -187,6 +191,7 @@ func (a *avgAcc) add(row types.Row) error {
 	a.n++
 	return nil
 }
+func (a *avgAcc) reset() { *a = avgAcc{arg: a.arg} }
 func (a *avgAcc) result() types.Value {
 	if a.n == 0 {
 		return types.Null()
@@ -222,6 +227,7 @@ func (m *minmaxAcc) add(row types.Row) error {
 	}
 	return nil
 }
+func (m *minmaxAcc) reset() { *m = minmaxAcc{arg: m.arg, min: m.min} }
 func (m *minmaxAcc) result() types.Value {
 	if !m.seen {
 		return types.Null()
@@ -246,6 +252,10 @@ func (a *arrayAcc) add(row types.Row) error {
 	a.vals = append(a.vals, v.String())
 	return nil
 }
+
+// reset starts a fresh slice rather than truncating, so nothing built
+// from a previous group can share the backing array.
+func (a *arrayAcc) reset() { *a = arrayAcc{arg: a.arg} }
 func (a *arrayAcc) result() types.Value {
 	return types.Text("[" + strings.Join(a.vals, ", ") + "]")
 }
@@ -278,6 +288,10 @@ func (p *polygonAcc) add(row types.Row) error {
 	p.pts = append(p.pts, geom.Point{xf, yf})
 	return nil
 }
+
+// reset starts a fresh point slice, as arrayAcc does: hulls keep
+// views of their input.
+func (p *polygonAcc) reset() { *p = polygonAcc{x: p.x, y: p.y} }
 
 func (p *polygonAcc) result() types.Value {
 	hull := convexhull.Compute(p.pts)

@@ -10,12 +10,14 @@
 // dataset", so Open materializes the input into a tuple store, extracts
 // the grouping attributes into a flat geom.PointSet, runs the operator
 // core, and folds the configured aggregates over each output group.
-// When its Group hook is set (the engine's incremental maintenance
-// path, installed by the planner for bare single-table scans), the
-// grouping comes from cached per-table state that absorbs only the
-// input's new suffix instead of a one-shot core call; the hook must
-// return a grouping equal to the one-shot evaluation, so downstream
-// aggregation is oblivious to how the groups were obtained.
+// When its Hook is set (the engine's evaluator cache, installed by the
+// planner for bare single-table scans), the node skips the tuple
+// store: it hands the scan snapshot to the hook, which extracts points
+// only for rows its cached state has not absorbed and returns an
+// Answer shared by every query at that table generation. The Answer
+// must equal the one-shot evaluation, so aggregation is oblivious to
+// how the groups were obtained; the node memoizes the rows it folds
+// on the Answer, keyed by its aggregate signature.
 //
 // Invariants: operators follow the Open / Next (nil row = exhausted) /
 // Close contract, may be re-Opened after Close, and never mutate input

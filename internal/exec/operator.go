@@ -57,12 +57,12 @@ func (s *SeqScan) Open() error {
 	return nil
 }
 
-// SnapshotGen returns the generation of the snapshot Open captured.
-// The engine's incremental-cache hooks use it to stamp cached
-// evaluator state with the exact table version the scanned rows came
-// from (reading Table.Generation at grouping time instead would race
-// with concurrent mutations).
-func (s *SeqScan) SnapshotGen() int64 { return s.gen }
+// Snapshot returns the rows and generation Open captured. The
+// similarity group-by node reads them directly: its cache hook keys
+// shared evaluator state to that exact table version (reading
+// Table.Generation at grouping time instead would race with
+// concurrent mutations).
+func (s *SeqScan) Snapshot() ([]types.Row, int64) { return s.rows, s.gen }
 
 // Next returns the next snapshot row. The returned slice aliases table
 // storage; downstream operators treat rows as immutable.

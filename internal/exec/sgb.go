@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/types"
 )
 
@@ -16,6 +18,14 @@ import (
 // SGB-Any from internal/core, and then folds the configured aggregates
 // over each output group. Output rows carry the aggregate results in
 // spec order.
+//
+// With a Hook installed (the engine's evaluator cache) the node does
+// not materialize the table: it hands the scan snapshot to the hook,
+// which extracts grouping points only for rows its cached state has
+// not absorbed yet and returns an Answer that may be shared by every
+// query at the snapshot's generation. The node then folds aggregates
+// once per (Answer, AggSig) and later queries with the same signature
+// emit the memoized rows without touching the table.
 //
 // Opt.Parallelism (threaded down from the planner's SGBParallelism /
 // the engine's SET parallelism session setting) selects the worker
@@ -33,13 +43,13 @@ type SGB struct {
 	Opt core.Options
 	// Aggs are computed per output group.
 	Aggs []AggSpec
-	// Group, when non-nil, computes the grouping instead of the
-	// one-shot core entry points — the engine's incremental
-	// maintenance hook (plan.Builder.SGBIncr): the planner installs a
-	// closure that appends only the input's new suffix to cached
-	// per-table evaluator state. The closure must return a grouping
-	// equal to a one-shot evaluation over the given points.
-	Group GroupFunc
+	// AggSig identifies Aggs together with EpsList and Cube: two nodes
+	// with equal signatures fold equal rows from one Answer, so the
+	// folded rows are memoized on the Answer under it. Empty disables
+	// the memo — the planner leaves it empty when an aggregate argument
+	// holds a subquery, whose result can change while the grouped
+	// table does not.
+	AggSig string
 
 	// EpsList, when non-empty, runs an ε sweep instead of a single
 	// evaluation (EPS IN (...); SGB-Any only): one shared dendrogram
@@ -53,24 +63,49 @@ type SGB struct {
 	// level: (eps, group_count, largest_group, grouped_fraction) — the
 	// SIMILARITY CUBE BY EPS output. Aggs must be empty.
 	Cube bool
-	// SweepGroup, when non-nil, computes every sweep level from shared
-	// cached state instead of core.SweepAnySet — the engine's
-	// ε-lattice cache hook (plan.Builder.SGBSweep). Results align with
-	// EpsList.
-	SweepGroup SweepFunc
+	// Hook, when non-nil and Input is a table scan, computes the
+	// grouping instead of the one-shot core entry points (see
+	// plan.Builder.SGBCache).
+	Hook Hook
 
 	out []types.Row
 	pos int
 }
 
+// Hook answers an SGB node's grouping over a scan snapshot: rows are
+// the rows of table t at generation gen. extract evaluates the node's
+// grouping expressions over rows[from:], so a hook whose cached state
+// already holds a prefix of the table pays only for the delta. The
+// Answer's Results align with the node's EpsList (exactly one Result
+// without one) and must equal a one-shot evaluation over rows. A hook
+// may return one Answer to every query at a generation: nodes treat it
+// as immutable.
+type Hook func(t *storage.Table, rows []types.Row, gen int64, extract ExtractFunc) (*Answer, error)
+
+// ExtractFunc is SGB.Extract's signature: the grouping points of
+// rows[from:].
+type ExtractFunc func(rows []types.Row, from int) (*geom.PointSet, error)
+
+// Answer is the grouping a Hook returns, plus a single slot memoizing
+// the rows folded from it under one aggregate signature.
+type Answer struct {
+	// Results holds one grouping per ε level (one without EPS IN).
+	Results []*core.Result
+
+	folded atomic.Pointer[foldedRows]
+}
+
+// foldedRows is the memo slot's content: the output rows folded under
+// the aggregate signature sig.
+type foldedRows struct {
+	sig  string
+	rows []types.Row
+}
+
 // GroupFunc computes the similarity grouping over the node's
 // materialized points (indices in the result refer into the set). gen
 // is the generation of the table snapshot the points were scanned
-// from (-1 when the input was not a table scan): cached evaluator
-// state synchronized with these points is synchronized with exactly
-// that table version, so the hook stamps entries with gen instead of
-// re-reading the live generation, which concurrent mutations may have
-// advanced past the scanned rows.
+// from.
 type GroupFunc func(points *geom.PointSet, gen int64) (*core.Result, error)
 
 // SweepFunc computes the grouping at every ε level of an EPS IN sweep
@@ -78,20 +113,45 @@ type GroupFunc func(points *geom.PointSet, gen int64) (*core.Result, error)
 // is the scan's snapshot generation, as for GroupFunc.
 type SweepFunc func(points *geom.PointSet, gen int64) ([]*core.Result, error)
 
-// snapshotGen reports the snapshot generation of the node's input, or
-// -1 when the input does not scan a table (the planner installs the
-// cache hooks only over bare table scans, so -1 reaches a hook only in
-// hand-built plans, which then bypass cached state).
-func (s *SGB) snapshotGen() int64 {
-	if sc, ok := s.Input.(*SeqScan); ok {
-		return sc.SnapshotGen()
+// Hook adapts f to a Hook that extracts every row and passes the whole
+// point set to f. A nil f yields a nil Hook.
+func (f GroupFunc) Hook() Hook {
+	if f == nil {
+		return nil
 	}
-	return -1
+	return func(_ *storage.Table, rows []types.Row, gen int64, extract ExtractFunc) (*Answer, error) {
+		points, err := extract(rows, 0)
+		if err != nil {
+			return nil, err
+		}
+		res, err := f(points, gen)
+		if err != nil {
+			return nil, err
+		}
+		return &Answer{Results: []*core.Result{res}}, nil
+	}
 }
 
-// Open materializes the input, extracts the grouping points, runs the
-// similarity operator (or the incremental Group hook), and folds the
-// aggregates over each output group.
+// Hook adapts f to a Hook like GroupFunc.Hook.
+func (f SweepFunc) Hook() Hook {
+	if f == nil {
+		return nil
+	}
+	return func(_ *storage.Table, rows []types.Row, gen int64, extract ExtractFunc) (*Answer, error) {
+		points, err := extract(rows, 0)
+		if err != nil {
+			return nil, err
+		}
+		results, err := f(points, gen)
+		if err != nil {
+			return nil, err
+		}
+		return &Answer{Results: results}, nil
+	}
+}
+
+// Open reads the input, groups it (through the Hook over a table scan,
+// else one-shot), and folds the aggregates over each output group.
 func (s *SGB) Open() error {
 	s.out = nil
 	s.pos = 0
@@ -103,151 +163,196 @@ func (s *SGB) Open() error {
 	if len(s.GroupExprs) == 0 {
 		return fmt.Errorf("exec: similarity grouping requires at least one grouping attribute")
 	}
+	if len(s.EpsList) > 0 && !s.Any {
+		return fmt.Errorf("exec: EPS IN sweeps exist for DISTANCE-TO-ANY only")
+	}
 	if err := s.Input.Open(); err != nil {
 		return err
 	}
 	defer s.Input.Close()
 
-	// TupleStore + point extraction. The grouping attributes go
-	// straight into a flat PointSet — one contiguous buffer with stride
-	// d — so the operator core never chases per-row coordinate slices.
-	var rows []types.Row
-	points := geom.NewPointSet(len(s.GroupExprs))
-	for {
-		row, err := s.Input.Next()
+	if scan, ok := s.Input.(*SeqScan); ok && s.Hook != nil {
+		rows, gen := scan.Snapshot()
+		ans, err := s.Hook(scan.Table, rows, gen, s.Extract)
 		if err != nil {
 			return err
 		}
-		if row == nil {
-			break
-		}
-		p := points.Extend()
-		for i, g := range s.GroupExprs {
-			v, err := g(row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return fmt.Errorf("exec: NULL similarity grouping attribute in row %d", len(rows))
-			}
-			f, err := v.AsFloat()
-			if err != nil {
-				return fmt.Errorf("exec: similarity grouping attribute %d: %v", i+1, err)
-			}
-			p[i] = f
-		}
-		rows = append(rows, row)
+		return s.emit(rows, ans)
 	}
 
-	if len(s.EpsList) > 0 {
-		return s.openSweep(rows, points)
+	rows, err := s.inputRows()
+	if err != nil {
+		return err
 	}
-
+	points, err := s.Extract(rows, 0)
+	if err != nil {
+		return err
+	}
+	var results []*core.Result
 	var res *core.Result
-	var err error
 	switch {
-	case s.Group != nil:
-		res, err = s.Group(points, s.snapshotGen())
+	case len(s.EpsList) > 0:
+		results, err = core.SweepAnySet(points, s.EpsList, s.Opt)
 	case s.Any:
 		res, err = core.SGBAnySet(points, s.Opt)
+		results = []*core.Result{res}
 	default:
 		res, err = core.SGBAllSet(points, s.Opt)
+		results = []*core.Result{res}
 	}
 	if err != nil {
 		return err
 	}
+	return s.emit(rows, &Answer{Results: results})
+}
 
-	for _, g := range res.Groups {
-		out, err := s.foldAggs(rows, g, nil)
-		if err != nil {
-			return err
-		}
-		s.out = append(s.out, out)
+// inputRows returns the opened input's rows: a table scan's snapshot
+// as is, any other input drained.
+func (s *SGB) inputRows() ([]types.Row, error) {
+	if scan, ok := s.Input.(*SeqScan); ok {
+		rows, _ := scan.Snapshot()
+		return rows, nil
 	}
+	var rows []types.Row
+	for {
+		row, err := s.Input.Next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			return rows, nil
+		}
+		rows = append(rows, row)
+	}
+}
+
+// Extract evaluates the grouping expressions over rows[from:] into one
+// flat PointSet (contiguous, stride d), so the operator core never
+// chases per-row coordinate slices. Errors name the row's position in
+// rows, so a delta extraction reports the same row a full one would.
+func (s *SGB) Extract(rows []types.Row, from int) (*geom.PointSet, error) {
+	points := geom.NewPointSetCap(len(s.GroupExprs), len(rows)-from)
+	for r := from; r < len(rows); r++ {
+		p := points.Extend()
+		for i, g := range s.GroupExprs {
+			v, err := g(rows[r])
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() {
+				return nil, fmt.Errorf("exec: NULL similarity grouping attribute in row %d", r)
+			}
+			f, err := v.AsFloat()
+			if err != nil {
+				return nil, fmt.Errorf("exec: similarity grouping attribute %d: %v", i+1, err)
+			}
+			p[i] = f
+		}
+	}
+	return points, nil
+}
+
+// emit sets the node's output to the rows folded from ans over rows,
+// reading them from ans's memo slot when it holds this node's
+// signature and filling the slot otherwise.
+func (s *SGB) emit(rows []types.Row, ans *Answer) error {
+	if want := max(len(s.EpsList), 1); len(ans.Results) != want {
+		return fmt.Errorf("exec: grouping returned %d levels, want %d", len(ans.Results), want)
+	}
+	if s.AggSig != "" {
+		if f := ans.folded.Load(); f != nil && f.sig == s.AggSig {
+			s.out = f.rows
+			return nil
+		}
+	}
+	out, err := s.fold(rows, ans.Results)
+	if err != nil {
+		return err
+	}
+	if s.AggSig != "" {
+		ans.folded.Store(&foldedRows{sig: s.AggSig, rows: out})
+	}
+	s.out = out
 	return nil
 }
 
-// foldAggs folds the node's aggregates over one group's rows, placing
-// the results after the given prefix values (the sweep path prepends
-// the level's ε).
-func (s *SGB) foldAggs(rows []types.Row, g core.Group, prefix []types.Value) (types.Row, error) {
+// fold builds the output rows: per level (a sweep prepends the level's
+// ε), one aggregate row per group, or under Cube one rollup row per
+// level. The accumulators are created once and reset per group, and
+// every aggregate row is cut from one shared value buffer.
+func (s *SGB) fold(rows []types.Row, results []*core.Result) ([]types.Row, error) {
+	if s.Cube {
+		out := make([]types.Row, len(results))
+		for li, res := range results {
+			out[li] = cubeRow(s.EpsList[li], res, len(rows))
+		}
+		return out, nil
+	}
 	accs := make([]accumulator, len(s.Aggs))
 	for i, a := range s.Aggs {
 		accs[i] = a.newAccumulator()
 	}
-	for _, m := range g.Members {
-		for _, acc := range accs {
-			if err := acc.add(rows[m]); err != nil {
-				return nil, err
-			}
-		}
+	width, groups := len(accs), 0
+	if len(s.EpsList) > 0 {
+		width++
 	}
-	out := make(types.Row, 0, len(prefix)+len(s.Aggs))
-	out = append(out, prefix...)
-	for _, acc := range accs {
-		out = append(out, acc.result())
+	for _, res := range results {
+		groups += len(res.Groups)
+	}
+	buf := make([]types.Value, 0, groups*width)
+	out := make([]types.Row, 0, groups)
+	for li, res := range results {
+		for _, g := range res.Groups {
+			start := len(buf)
+			if len(s.EpsList) > 0 {
+				buf = append(buf, types.Float(s.EpsList[li]))
+			}
+			for _, acc := range accs {
+				acc.reset()
+			}
+			for _, m := range g.Members {
+				for _, acc := range accs {
+					if err := acc.add(rows[m]); err != nil {
+						return nil, err
+					}
+				}
+			}
+			for _, acc := range accs {
+				buf = append(buf, acc.result())
+			}
+			out = append(out, buf[start:len(buf):len(buf)])
+		}
 	}
 	return out, nil
 }
 
-// openSweep evaluates every EPS IN level from one shared dendrogram
-// (via the SweepGroup cache hook or core.SweepAnySet) and emits the
-// per-level output: aggregate rows with ε prepended, or — under Cube —
-// one (eps, group_count, largest_group, grouped_fraction) rollup row
-// per level.
-func (s *SGB) openSweep(rows []types.Row, points *geom.PointSet) error {
-	if !s.Any {
-		return fmt.Errorf("exec: EPS IN sweeps exist for DISTANCE-TO-ANY only")
-	}
-	var results []*core.Result
-	var err error
-	if s.SweepGroup != nil {
-		results, err = s.SweepGroup(points, s.snapshotGen())
-	} else {
-		results, err = core.SweepAnySet(points, s.EpsList, s.Opt)
-	}
-	if err != nil {
-		return err
-	}
-	if len(results) != len(s.EpsList) {
-		return fmt.Errorf("exec: sweep returned %d levels, want %d", len(results), len(s.EpsList))
-	}
-	for li, res := range results {
-		eps := types.Float(s.EpsList[li])
-		if s.Cube {
-			largest, grouped := 0, 0
-			for _, g := range res.Groups {
-				if len(g.Members) > largest {
-					largest = len(g.Members)
-				}
-				if len(g.Members) >= 2 {
-					grouped += len(g.Members)
-				}
-			}
-			frac := 0.0
-			if n := len(rows); n > 0 {
-				frac = float64(grouped) / float64(n)
-			}
-			s.out = append(s.out, types.Row{
-				eps,
-				types.Int(int64(len(res.Groups))),
-				types.Int(int64(largest)),
-				types.Float(frac),
-			})
-			continue
+// cubeRow is one SIMILARITY CUBE BY EPS rollup row: (eps, group_count,
+// largest_group, grouped_fraction) over n input rows.
+func cubeRow(eps float64, res *core.Result, n int) types.Row {
+	largest, grouped := 0, 0
+	for _, g := range res.Groups {
+		if len(g.Members) > largest {
+			largest = len(g.Members)
 		}
-		for _, g := range res.Groups {
-			out, err := s.foldAggs(rows, g, []types.Value{eps})
-			if err != nil {
-				return err
-			}
-			s.out = append(s.out, out)
+		if len(g.Members) >= 2 {
+			grouped += len(g.Members)
 		}
 	}
-	return nil
+	frac := 0.0
+	if n > 0 {
+		frac = float64(grouped) / float64(n)
+	}
+	return types.Row{
+		types.Float(eps),
+		types.Int(int64(len(res.Groups))),
+		types.Int(int64(largest)),
+		types.Float(frac),
+	}
 }
 
-// Next emits one aggregate row per output group, in group order.
+// Next emits one aggregate row per output group, in group order. The
+// rows may be shared with other queries reading the same Answer and
+// must not be modified.
 func (s *SGB) Next() (types.Row, error) {
 	if s.pos >= len(s.out) {
 		return nil, nil

@@ -37,22 +37,26 @@ type Builder struct {
 	SGBSeed int64
 	// SGBStats, when non-nil, accumulates operator statistics.
 	SGBStats *core.Stats
-	// SGBIncr, when non-nil, is consulted for similarity group-by
-	// queries whose input is a bare single-table scan (one base table,
-	// no WHERE, no join): it may return a GroupFunc that maintains
-	// cached incremental state for the table across queries — the
-	// engine's INSERT-maintenance path. The shape restriction is what
-	// makes caching sound: only then is the extracted point sequence a
-	// prefix-stable, append-only image of the table. exprKey
-	// fingerprints the grouping expressions; opt is the fully resolved
-	// operator configuration.
-	SGBIncr func(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc
-	// SGBSweep is SGBIncr's ε-sweep sibling: consulted for EPS IN
-	// queries over the same cacheable bare-scan shape, it may return a
-	// SweepFunc backed by a shared per-table dendrogram (one lattice
-	// entry serves every ε list below its ε_max — the cache key
-	// deliberately excludes ε). epsList arrives validated and in
-	// ascending order; opt.Eps is its maximum.
+	// SGBCache, when non-nil, is consulted for similarity group-by
+	// queries of the cacheable shape — a bare scan of one base table (no
+	// WHERE, no join) whose grouping expressions hold no subquery: it
+	// returns the node's Hook, backed by cached evaluator state that
+	// the engine maintains across queries and INSERT/DELETE. The shape
+	// restriction is what makes caching sound: only then is the
+	// extracted point sequence a pure, prefix-stable, append-only image
+	// of the table. exprKey fingerprints the grouping expressions;
+	// epsList is the EPS IN list (validated, ascending, opt.Eps its
+	// maximum; empty for a single ε); opt is the fully resolved
+	// operator configuration. One hook serves single-ε and sweep
+	// queries alike.
+	SGBCache func(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.Hook
+	// SGBIncr and SGBSweep are the point-level grouping seams of the
+	// same shape, consulted only without SGBCache: they receive the
+	// whole table's grouping points (exec.GroupFunc.Hook) for single-ε
+	// and EPS IN queries respectively, and must return what the
+	// one-shot core entry points would. Instrumentation wraps the core
+	// call through them.
+	SGBIncr  func(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc
 	SGBSweep func(table, exprKey string, epsList []float64, opt core.Options) exec.SweepFunc
 }
 
@@ -429,13 +433,15 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 	sim := gb.Similarity
 
 	groupExprs := make([]exec.Scalar, len(gb.Exprs))
+	probe := &subqueryProbe{sp: b}
 	for i, ge := range gb.Exprs {
-		s, err := compileScalar(ge, in.env, b)
+		s, err := compileScalar(ge, in.env, probe)
 		if err != nil {
 			return nil, nil, err
 		}
 		groupExprs[i] = s
 	}
+	cacheable := !probe.seen && sel.Where == nil && len(sel.From) == 1
 
 	opt := core.Options{
 		Algorithm:   b.SGBAlgorithm,
@@ -463,7 +469,7 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 	}
 
 	if len(sim.EpsList) > 0 {
-		return b.planEpsSweep(sel, in, gb, sim, groupExprs, opt)
+		return b.planEpsSweep(sel, in, gb, sim, groupExprs, opt, cacheable)
 	}
 
 	// ε must be a positive numeric constant.
@@ -502,19 +508,10 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 		Any:        sim.Semantics == sqlparser.SemanticsAny,
 		Opt:        opt,
 		Aggs:       binder.aggs,
+		AggSig:     binder.sig(nil, false),
 	}
-	// Incremental maintenance applies only to the cacheable shape: a
-	// bare scan of one base table with no filtering, so the operator's
-	// input is exactly the table's rows in insertion order and a later
-	// query's input extends an earlier one's purely by appending.
-	if b.SGBIncr != nil && sel.Where == nil && len(sel.From) == 1 {
-		if bt, ok := sel.From[0].(*sqlparser.BaseTable); ok {
-			keys := make([]string, len(gb.Exprs))
-			for i, ge := range gb.Exprs {
-				keys[i] = ge.String()
-			}
-			sgbNode.Group = b.SGBIncr(bt.Name, strings.Join(keys, ","), sgbNode.Any, opt)
-		}
+	if cacheable {
+		b.installHook(sel, gb, sgbNode)
 	}
 	var op exec.Operator = sgbNode
 	if havingPred != nil {
@@ -523,13 +520,36 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
 }
 
+// installHook sets the cache hook of a similarity group-by node of the
+// cacheable shape (see Builder.SGBCache): SGBCache when set, else the
+// point-level SGBIncr or SGBSweep seam.
+func (b *Builder) installHook(sel *sqlparser.SelectStmt, gb *sqlparser.GroupByClause, node *exec.SGB) {
+	bt, ok := sel.From[0].(*sqlparser.BaseTable)
+	if !ok {
+		return
+	}
+	keys := make([]string, len(gb.Exprs))
+	for i, ge := range gb.Exprs {
+		keys[i] = ge.String()
+	}
+	exprKey := strings.Join(keys, ",")
+	switch {
+	case b.SGBCache != nil:
+		node.Hook = b.SGBCache(bt.Name, exprKey, node.Any, node.EpsList, node.Opt)
+	case len(node.EpsList) > 0 && b.SGBSweep != nil:
+		node.Hook = b.SGBSweep(bt.Name, exprKey, node.EpsList, node.Opt).Hook()
+	case len(node.EpsList) == 0 && b.SGBIncr != nil:
+		node.Hook = b.SGBIncr(bt.Name, exprKey, node.Any, node.Opt).Hook()
+	}
+}
+
 // planEpsSweep lowers the EPS IN (...) / SIMILARITY CUBE BY EPS forms
 // of the similarity clause: every level is answered from one shared
 // dendrogram, rows are emitted level by level in ascending ε order,
 // and the level's ε rides along as output column 0 — exposed to the
 // projection and HAVING as the pseudo-column "eps" (cube queries
 // instead get the fixed rollup schema and must be SELECT *).
-func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *sqlparser.GroupByClause, sim *sqlparser.SimilarityClause, groupExprs []exec.Scalar, opt core.Options) (exec.Operator, Env, error) {
+func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *sqlparser.GroupByClause, sim *sqlparser.SimilarityClause, groupExprs []exec.Scalar, opt core.Options, cacheable bool) (exec.Operator, Env, error) {
 	epsList := make([]float64, len(sim.EpsList))
 	for i, e := range sim.EpsList {
 		s, err := compileScalar(e, nil, b)
@@ -579,6 +599,7 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *s
 		if sel.Having != nil {
 			return nil, nil, fmt.Errorf("plan: HAVING is not supported with SIMILARITY CUBE BY EPS")
 		}
+		sgbNode.AggSig = aggSig(nil, epsList, true)
 		for i := 0; i < 4; i++ {
 			idx := i
 			selScalars = append(selScalars, func(row types.Row) (types.Value, error) { return row[idx], nil })
@@ -602,19 +623,11 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *s
 			}
 		}
 		sgbNode.Aggs = binder.aggs
+		sgbNode.AggSig = binder.sig(epsList, false)
 	}
 
-	// The shared-dendrogram cache applies to the same shape SGBIncr
-	// requires: a bare single-table scan, whose point sequence is an
-	// append-only image of the table.
-	if b.SGBSweep != nil && sel.Where == nil && len(sel.From) == 1 {
-		if bt, ok := sel.From[0].(*sqlparser.BaseTable); ok {
-			keys := make([]string, len(gb.Exprs))
-			for i, ge := range gb.Exprs {
-				keys[i] = ge.String()
-			}
-			sgbNode.SweepGroup = b.SGBSweep(bt.Name, strings.Join(keys, ","), epsList, opt)
-		}
+	if cacheable {
+		b.installHook(sel, gb, sgbNode)
 	}
 	var op exec.Operator = sgbNode
 	if havingPred != nil {

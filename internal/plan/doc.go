@@ -14,11 +14,14 @@
 //     SGB-Any never receives Bounds-Checking (Section 7.1).
 //   - The WITHIN threshold must fold to a positive numeric constant at
 //     plan time.
-//   - Incremental maintenance hook: when Builder.SGBIncr is set (the
-//     engine's SET incremental path), similarity group-by queries over
-//     a bare single-table scan — one base table, no WHERE, no join —
-//     have their grouping delegated to cached per-table state. The
-//     shape restriction is the soundness condition: only then is the
-//     extracted point sequence a prefix-stable, append-only image of
-//     the table.
+//   - Evaluator-cache hook: when Builder.SGBCache is set (the engine's
+//     SET incremental path), similarity group-by queries over a bare
+//     single-table scan — one base table, no WHERE, no join, no
+//     subquery in a grouping expression — have their grouping
+//     delegated to cached per-table state, single-ε and EPS IN alike.
+//     The shape restriction is the soundness condition: only then is
+//     the extracted point sequence a pure, prefix-stable, append-only
+//     image of the table. The node's AggSig names its aggregate list
+//     for the folded-row memo, and is left empty when an aggregate
+//     argument holds a subquery.
 package plan

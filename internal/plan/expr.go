@@ -46,6 +46,22 @@ type subqueryPlanner interface {
 	planSubquery(sel *sqlparser.SelectStmt) (exec.Operator, Env, error)
 }
 
+// subqueryProbe forwards to sp and records whether the expressions
+// compiled through it planned a subquery: their values then depend on
+// tables other than the one they are evaluated over.
+type subqueryProbe struct {
+	sp   subqueryPlanner
+	seen bool
+}
+
+func (p *subqueryProbe) planSubquery(sel *sqlparser.SelectStmt) (exec.Operator, Env, error) {
+	if p.sp == nil {
+		return nil, nil, fmt.Errorf("plan: subquery not allowed in this context")
+	}
+	p.seen = true
+	return p.sp.planSubquery(sel)
+}
+
 // compiler turns AST expressions into exec.Scalar closures. The
 // optional hook intercepts nodes before structural compilation; the
 // aggregate binder uses it to rewrite aggregate calls and grouping
@@ -496,6 +512,24 @@ type aggBinder struct {
 	aggBase   int      // index of agg₀ in the output row (K or 0)
 	aggs      []exec.AggSpec
 	aggKeys   []string
+	// argSubquery records that some aggregate argument holds a subquery.
+	argSubquery bool
+}
+
+// sig is the exec.SGB.AggSig of the binder's aggregates under the given
+// sweep shape, or "" when an aggregate argument holds a subquery.
+func (b *aggBinder) sig(epsList []float64, cube bool) string {
+	if b.argSubquery {
+		return ""
+	}
+	return aggSig(b.aggKeys, epsList, cube)
+}
+
+// aggSig spells an aggregate signature: the printed aggregate calls
+// (quoted, so the list splits back unambiguously), the ε list, and the
+// cube flag.
+func aggSig(aggKeys []string, epsList []float64, cube bool) string {
+	return fmt.Sprintf("%q|%v|%t", aggKeys, epsList, cube)
 }
 
 func (b *aggBinder) compile(e sqlparser.Expr) (exec.Scalar, error) {
@@ -536,13 +570,15 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 		}
 	}
 	spec := exec.AggSpec{Kind: kind}
+	probe := &subqueryProbe{sp: b.sp}
 	for _, arg := range fc.Args {
-		cs, err := compileScalar(arg, b.baseEnv, b.sp)
+		cs, err := compileScalar(arg, b.baseEnv, probe)
 		if err != nil {
 			return nil, false, err
 		}
 		spec.Args = append(spec.Args, cs)
 	}
+	b.argSubquery = b.argSubquery || probe.seen
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}

@@ -56,10 +56,10 @@ func appendPayload(b []byte, s *Snapshot) ([]byte, error) {
 }
 
 func decodePayload(d *wal.Decoder, s *Snapshot) error {
-	nt := d.Count()
+	nt := d.Count(16) // name length, column count, row count
 	for i := 0; i < nt && d.Err() == nil; i++ {
 		name := d.String()
-		nc := d.Count()
+		nc := d.Count(5) // name length + kind byte
 		schema := make(storage.Schema, 0, nc)
 		for j := 0; j < nc && d.Err() == nil; j++ {
 			schema = append(schema, storage.Column{Name: d.String(), Type: types.Kind(d.Byte())})
@@ -72,7 +72,7 @@ func decodePayload(d *wal.Decoder, s *Snapshot) error {
 		}
 		s.Tables = append(s.Tables, t)
 	}
-	ne := d.Count()
+	ne := d.Count(16) // table and fingerprint lengths, consumed
 	for i := 0; i < ne && d.Err() == nil; i++ {
 		e := IncrEntry{Table: d.String(), Fingerprint: d.String(), Consumed: int(d.U64())}
 		st, err := decodeIncrState(d)
@@ -138,7 +138,7 @@ func appendFloats(b []byte, xs []float64) []byte {
 }
 
 func decodeFloats(d *wal.Decoder) []float64 {
-	n := d.Count()
+	n := d.Count(8)
 	if d.Err() != nil {
 		return nil
 	}
@@ -169,7 +169,7 @@ func decodeInt32sOpt(d *wal.Decoder) []int32 {
 }
 
 func decodeInt32s(d *wal.Decoder) []int32 {
-	n := d.Count()
+	n := d.Count(4)
 	if d.Err() != nil {
 		return nil
 	}
@@ -208,7 +208,7 @@ func decodeBoolsOpt(d *wal.Decoder) []bool {
 	if d.Byte() == 0 {
 		return nil
 	}
-	n := d.Count()
+	n := d.Count(1)
 	if d.Err() != nil {
 		return nil
 	}
@@ -228,7 +228,7 @@ func appendInt8s(b []byte, xs []int8) []byte {
 }
 
 func decodeInt8s(d *wal.Decoder) []int8 {
-	n := d.Count()
+	n := d.Count(1)
 	if d.Err() != nil {
 		return nil
 	}
@@ -327,7 +327,7 @@ func decodeAllState(d *wal.Decoder) *core.AllState {
 	s.StageFloor = int(d.U64())
 	s.Eliminated = decodeInt32s(d)
 	s.Deferred = decodeInt32s(d)
-	n := d.Count()
+	n := d.Count(4) // a group is at least its member count
 	if d.Err() == nil {
 		s.Groups = make([][]int32, 0, clampCap(n))
 		for i := 0; i < n && d.Err() == nil; i++ {

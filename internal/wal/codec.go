@@ -141,12 +141,15 @@ func (d *Decoder) U64() uint64 {
 	return v
 }
 
-// Count consumes a uint32 used as an element count, bounds-checked so
-// corrupt input cannot provoke huge allocations.
-func (d *Decoder) Count() int {
+// Count consumes a uint32 element count whose elements each encode
+// to at least minSize bytes. A count the remaining input cannot hold
+// is corrupt, so it fails decoding instead of sizing an allocation:
+// whatever a caller preallocates from a count stays proportional to
+// the bytes it was given.
+func (d *Decoder) Count(minSize int) int {
 	n := d.U32()
-	if d.err == nil && n > maxDecodeCount {
-		d.fail("count %d exceeds limit", n)
+	if d.err == nil && (n > maxDecodeCount || int(n) > len(d.b)/minSize) {
+		d.fail("count %d exceeds the %d bytes remaining", n, len(d.b))
 		return 0
 	}
 	return int(n)
@@ -154,7 +157,7 @@ func (d *Decoder) Count() int {
 
 // String consumes a length-prefixed string.
 func (d *Decoder) String() string {
-	n := d.Count()
+	n := d.Count(1)
 	if d.err != nil {
 		return ""
 	}
@@ -198,7 +201,7 @@ func (d *Decoder) Value() types.Value {
 
 // Row consumes one encoded row.
 func (d *Decoder) Row() types.Row {
-	n := d.Count()
+	n := d.Count(1) // a value is at least its kind byte
 	if d.err != nil {
 		return nil
 	}
@@ -306,21 +309,21 @@ func DecodeRecord(payload []byte) (Record, error) {
 	switch rt := RecordType(d.Byte()); rt {
 	case RecCreateTable:
 		r := CreateTable{Name: d.String()}
-		n := d.Count()
+		n := d.Count(5) // name length + kind byte
 		for i := 0; i < n && d.Err() == nil; i++ {
 			r.Cols = append(r.Cols, ColDef{Name: d.String(), Kind: types.Kind(d.Byte())})
 		}
 		return finishRecord(r, d)
 	case RecInsert:
 		r := Insert{Table: d.String()}
-		n := d.Count()
+		n := d.Count(4) // a row is at least its value count
 		for i := 0; i < n && d.Err() == nil; i++ {
 			r.Rows = append(r.Rows, d.Row())
 		}
 		return finishRecord(r, d)
 	case RecDelete:
 		r := Delete{Table: d.String()}
-		n := d.Count()
+		n := d.Count(8)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			r.Idx = append(r.Idx, int(d.U64()))
 		}

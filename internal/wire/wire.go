@@ -152,12 +152,12 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	resp := &Response{}
 	switch t := d.Byte(); t {
 	case MsgRows:
-		ncols := d.Count()
+		ncols := d.Count(4) // a column name is at least its length
 		resp.Columns = make([]string, 0, ncols)
 		for i := 0; i < ncols; i++ {
 			resp.Columns = append(resp.Columns, d.String())
 		}
-		nrows := d.Count()
+		nrows := d.Count(4) // a row is at least its value count
 		resp.Data = make([]types.Row, 0, nrows)
 		for i := 0; i < nrows; i++ {
 			resp.Data = append(resp.Data, d.Row())

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/types"
+	"github.com/sgb-db/sgb/internal/wal"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -128,5 +130,35 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResponse(append(EncodeCount(1), 9)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestResponseCountBoundedByPayload pins that a row or column count is
+// checked against the payload bytes before anything is sized from it:
+// a 9-byte MsgRows frame claiming 2^20 rows (or columns) fails without
+// allocating for them.
+func TestResponseCountBoundedByPayload(t *testing.T) {
+	const claimed = 1 << 20
+	for _, c := range []struct {
+		name  string
+		ncols uint32
+		nrows uint32
+	}{
+		{"rows", 0, claimed},
+		{"columns", claimed, 0},
+	} {
+		payload := []byte{MsgRows}
+		payload = wal.AppendU32(payload, c.ncols)
+		payload = wal.AppendU32(payload, c.nrows)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeResponse(payload)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte payload claiming %d elements decoded", c.name, len(payload), claimed)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("%s: decoding a %d-byte payload allocated %d bytes", c.name, len(payload), grew)
+		}
 	}
 }
