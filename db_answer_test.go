@@ -48,6 +48,49 @@ func TestPublishedAnswerSubqueryAggregate(t *testing.T) {
 	}
 }
 
+// TestPublishedAnswerAggregateSignature pins that the folded-row memo,
+// shared by every query at one table generation, tells apart aggregates
+// that differ only in a text literal's case or a numeric literal's kind:
+// each query answers as a one-shot evaluation does, value kinds included.
+func TestPublishedAnswerAggregateSignature(t *testing.T) {
+	incDB, refDB := Open(), Open()
+	for _, db := range []*DB{incDB, refDB} {
+		mustExec(t, db, "CREATE TABLE p (id INT, tag TEXT, x FLOAT, y FLOAT)")
+		mustExec(t, db, "INSERT INTO p VALUES (1, 'a', 0.0, 0.0), (2, 'b', 1.0, 0.0), (3, 'A', 5.0, 5.0)")
+	}
+	mustExec(t, incDB, "SET incremental = on")
+	for _, agg := range []string{
+		"max(tag = 'A')", "max(tag = 'a')",
+		"sum(id * 2)", "sum(id * 2.0)",
+		"max(tag = 'A'), max(tag = 'a')",
+		"sum(id * 2), sum(id * 2.0)",
+	} {
+		sql := "SELECT " + agg + " FROM p GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5"
+		got, want := mustQuery(t, incDB, sql), mustQuery(t, refDB, sql)
+		if !reflect.DeepEqual(got.Data, want.Data) {
+			t.Errorf("%s: incremental %v, one-shot %v", agg, got.Data, want.Data)
+		}
+	}
+
+	// Within one query the two calls of a pair stay separate aggregates.
+	const pairs = "SELECT max(tag = 'A'), max(tag = 'a'), sum(id * 2), sum(id * 2.0) FROM p GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5"
+	want := [][]types.Value{
+		{types.Bool(false), types.Bool(true), types.Int(6), types.Float(6)},
+		{types.Bool(true), types.Bool(false), types.Int(6), types.Float(6)},
+	}
+	for _, db := range []*DB{incDB, refDB} {
+		got := mustQuery(t, db, pairs)
+		if len(got.Data) != len(want) {
+			t.Fatalf("pairs: got %v, want %v", got.Data, want)
+		}
+		for i := range want {
+			if !reflect.DeepEqual([]types.Value(got.Data[i]), want[i]) {
+				t.Errorf("pairs row %d: got %#v, want %#v", i, got.Data[i], want[i])
+			}
+		}
+	}
+}
+
 // TestPublishedAnswerGroupingSubquery pins that a grouping expression
 // holding a subquery keeps the query off the evaluator cache: its
 // points depend on a second table, so cached points would go stale.

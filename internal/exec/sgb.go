@@ -106,11 +106,17 @@ type foldedRows struct {
 // materialized points (indices in the result refer into the set). gen
 // is the generation of the table snapshot the points were scanned
 // from.
+//
+// Deprecated: use Hook. GroupFunc and SweepFunc remain only for the
+// perfbench module's traced run (via plan.Builder.SGBIncr/SGBSweep);
+// the engine does not use them and no new caller should.
 type GroupFunc func(points *geom.PointSet, gen int64) (*core.Result, error)
 
 // SweepFunc computes the grouping at every ε level of an EPS IN sweep
 // over the node's materialized points, aligned with SGB.EpsList. gen
 // is the scan's snapshot generation, as for GroupFunc.
+//
+// Deprecated: use Hook; see GroupFunc.
 type SweepFunc func(points *geom.PointSet, gen int64) ([]*core.Result, error)
 
 // Hook adapts f to a Hook that extracts every row and passes the whole

@@ -54,8 +54,11 @@ type Builder struct {
 	// same shape, consulted only without SGBCache: they receive the
 	// whole table's grouping points (exec.GroupFunc.Hook) for single-ε
 	// and EPS IN queries respectively, and must return what the
-	// one-shot core entry points would. Instrumentation wraps the core
-	// call through them.
+	// one-shot core entry points would.
+	//
+	// Deprecated: use SGBCache. The engine never sets these; they
+	// remain only for the perfbench module's traced run, which wraps
+	// the core call through them, and go when it moves to SGBCache.
 	SGBIncr  func(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc
 	SGBSweep func(table, exprKey string, epsList []float64, opt core.Options) exec.SweepFunc
 }
@@ -404,7 +407,7 @@ func (b *Builder) planGroupBy(sel *sqlparser.SelectStmt, in plannedInput) (exec.
 			return nil, nil, err
 		}
 		groups[i] = s
-		groupKeys[i] = ge.String()
+		groupKeys[i], _ = matchKey(ge)
 	}
 
 	binder := &aggBinder{baseEnv: in.env, sp: b, groupKeys: groupKeys, aggBase: len(groupExprs)}

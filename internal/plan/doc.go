@@ -22,6 +22,7 @@
 //     The shape restriction is the soundness condition: only then is
 //     the extracted point sequence a pure, prefix-stable, append-only
 //     image of the table. The node's AggSig names its aggregate list
-//     for the folded-row memo, and is left empty when an aggregate
-//     argument holds a subquery.
+//     (each call's matchKey, which keeps literal case and kind) for the
+//     folded-row memo, and is left empty when an aggregate argument
+//     holds a subquery.
 package plan

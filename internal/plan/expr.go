@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"github.com/sgb-db/sgb/internal/exec"
@@ -502,16 +503,16 @@ func containsAggregate(e sqlparser.Expr) bool {
 //	[group₀ … group_{K-1}, agg₀ … agg_{M-1}]   (standard GROUP BY)
 //	[agg₀ … agg_{M-1}]                          (similarity GROUP BY)
 //
-// Aggregate calls are deduplicated by their printed form; grouping
-// expressions are matched structurally the same way. Column references
-// outside both are errors.
+// Aggregate calls are deduplicated by matchKey (never when they hold a
+// subquery); grouping expressions are matched the same way. Column
+// references outside both are errors.
 type aggBinder struct {
 	baseEnv   Env // pre-aggregation input layout (for agg arguments)
 	sp        subqueryPlanner
-	groupKeys []string // printed grouping expressions ("" entries disallow matching)
+	groupKeys []string // matchKey of each grouping expression ("" entries disallow matching)
 	aggBase   int      // index of agg₀ in the output row (K or 0)
 	aggs      []exec.AggSpec
-	aggKeys   []string
+	aggKeys   []string // matchKey of each aggregate call ("" when it holds a subquery)
 	// argSubquery records that some aggregate argument holds a subquery.
 	argSubquery bool
 }
@@ -543,9 +544,9 @@ func (b *aggBinder) compile(e sqlparser.Expr) (exec.Scalar, error) {
 
 func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	// Grouping-expression match (standard GROUP BY only).
-	printed := e.String()
+	printed, _ := matchKey(e)
 	for i, gk := range b.groupKeys {
-		if gk != "" && strings.EqualFold(gk, printed) {
+		if gk != "" && gk == printed {
 			idx := i
 			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
 		}
@@ -562,9 +563,11 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	if fc.Star {
 		kind = exec.AggCountStar
 	}
-	key := strings.ToLower(fc.String())
+	// A call holding a subquery is never shared: its key does not say
+	// which subquery it runs.
+	key, exact := matchKey(fc)
 	for i, k := range b.aggKeys {
-		if k == key {
+		if exact && k == key {
 			idx := b.aggBase + i
 			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
 		}
@@ -578,12 +581,95 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 		}
 		spec.Args = append(spec.Args, cs)
 	}
-	b.argSubquery = b.argSubquery || probe.seen
+	b.argSubquery = b.argSubquery || probe.seen || !exact
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
 	idx := b.aggBase + len(b.aggs)
 	b.aggs = append(b.aggs, spec)
+	if !exact {
+		key = ""
+	}
 	b.aggKeys = append(b.aggKeys, key)
 	return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+}
+
+// matchKey renders e for matching expressions by meaning: function,
+// column and operator names fold case, while literals keep theirs and
+// carry their kind, so max(tag = 'A') and max(tag = 'a'), or sum(id*2)
+// and sum(id*2.0), never share a key. exact is false when e holds a
+// subquery, which the key names only as <subquery>.
+func matchKey(e sqlparser.Expr) (key string, exact bool) {
+	var sb strings.Builder
+	exact = writeMatchKey(&sb, e)
+	return sb.String(), exact
+}
+
+func writeMatchKey(sb *strings.Builder, e sqlparser.Expr) bool {
+	exact := true
+	sub := func(e sqlparser.Expr) {
+		exact = writeMatchKey(sb, e) && exact
+	}
+	switch x := e.(type) {
+	case *sqlparser.ColumnRef:
+		sb.WriteString(strings.ToLower(x.String()))
+	case *sqlparser.Literal:
+		v := x.Val
+		fmt.Fprintf(sb, "%s:%d:%s:%q:%t", v.Kind, v.I, strconv.FormatFloat(v.F, 'g', -1, 64), v.S, v.B)
+	case *sqlparser.BinaryExpr:
+		sb.WriteByte('(')
+		sub(x.L)
+		sb.WriteString(" " + strings.ToLower(x.Op) + " ")
+		sub(x.R)
+		sb.WriteByte(')')
+	case *sqlparser.UnaryExpr:
+		sb.WriteString("(" + strings.ToLower(x.Op) + " ")
+		sub(x.E)
+		sb.WriteByte(')')
+	case *sqlparser.FuncCall:
+		sb.WriteString(strings.ToLower(x.Name) + "(")
+		if x.Star {
+			sb.WriteByte('*')
+		}
+		for i, a := range x.Args {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sub(a)
+		}
+		sb.WriteByte(')')
+	case *sqlparser.InExpr:
+		sb.WriteByte('(')
+		sub(x.E)
+		if x.Neg {
+			sb.WriteString(" not")
+		}
+		sb.WriteString(" in (")
+		if x.Sub != nil {
+			sb.WriteString("<subquery>")
+			exact = false
+		}
+		for i, l := range x.List {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sub(l)
+		}
+		sb.WriteString("))")
+	case *sqlparser.BetweenExpr:
+		sb.WriteByte('(')
+		sub(x.E)
+		if x.Neg {
+			sb.WriteString(" not")
+		}
+		sb.WriteString(" between ")
+		sub(x.Lo)
+		sb.WriteString(" and ")
+		sub(x.Hi)
+		sb.WriteByte(')')
+	default:
+		sb.WriteString(e.String())
+		exact = false
+	}
+	return exact
 }

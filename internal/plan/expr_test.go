@@ -226,3 +226,50 @@ func TestSGBOverlapClausesThroughPlanner(t *testing.T) {
 		t.Errorf("SGB having = %v", rows)
 	}
 }
+
+func TestMatchKey(t *testing.T) {
+	key := func(src string) (string, bool) {
+		t.Helper()
+		sel, err := sqlparser.ParseSelect("SELECT " + src + " FROM t")
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		return matchKey(sel.Items[0].Expr)
+	}
+	cases := []struct {
+		a, b string
+		same bool
+	}{
+		{"max(s = 'x')", "MAX(S = 'x')", true},
+		{"sum(t.a * 2)", "SUM(T.A * 2)", true},
+		{"a NOT BETWEEN 1 AND 2", "a not between 1 and 2", true},
+		{"max(s = 'x')", "max(s = 'X')", false},
+		{"sum(a * 2)", "sum(a * 2.0)", false},
+		{"a IN (1, 2)", "a NOT IN (1, 2)", false},
+		{"count(*)", "count(a)", false},
+	}
+	for _, c := range cases {
+		ka, _ := key(c.a)
+		kb, _ := key(c.b)
+		if (ka == kb) != c.same {
+			t.Errorf("matchKey(%q) = %q, matchKey(%q) = %q; want same=%v", c.a, ka, c.b, kb, c.same)
+		}
+	}
+	if _, exact := key("max(a IN (SELECT b FROM t))"); exact {
+		t.Error("matchKey of a subquery call is exact")
+	}
+	if _, exact := key("max(a IN (1, 2))"); !exact {
+		t.Error("matchKey of a value-list call is not exact")
+	}
+}
+
+func TestGroupKeyMatchKeepsLiteralCase(t *testing.T) {
+	cat := exprCatalog(t)
+	// The select item differs from the grouping expression in a text
+	// literal's case, so it is not that grouping column.
+	mustFail(t, cat, "SELECT s = 'X', count(*) FROM t GROUP BY s = 'x'", "GROUP BY")
+	rows := queryVals(t, cat, "SELECT S = 'x', count(*) FROM t GROUP BY s = 'x' ORDER BY 2")
+	if len(rows) != 3 {
+		t.Fatalf("got %v, want 3 groups", rows)
+	}
+}
