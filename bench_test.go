@@ -177,61 +177,31 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallel — the partition/evaluate/merge pipeline on the
-// Fig9a workload (n=4000, ε=0.5, L2): worker sweep for both operators
-// under the ε-grid strategy. w=1 is the sequential path; results are
-// identical at every worker count.
+// BenchmarkParallel — the SGB-Any partition/evaluate/merge pipeline
+// on the Fig9a workload (n=4000, ε=0.5, L2) under the ε-grid strategy:
+// a worker sweep where w=1 is the sequential path and results are
+// identical at every worker count. Parallel runs also report the
+// per-phase wall time (partition / connect / merge, as *-ms/op
+// metrics): the sequential residue (partition + merge) bounds the
+// achievable speedup. SGB-All has no parallel pipeline.
 func BenchmarkParallel(b *testing.B) {
 	pts := benchPoints(4000, 1)
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("All/Grid/w=%d", w), func(b *testing.B) {
-			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny,
-				Algorithm: sgb.GridIndex, Seed: 1, Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sgb.GroupByAll(pts, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Any/Grid/w=%d", w), func(b *testing.B) {
-			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex, Parallelism: w}
+			var st sgb.Stats
+			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex, Parallelism: w, Stats: &st}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sgb.GroupByAny(pts, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkParallelPhases — the per-phase breakdown of the parallel
-// SGB-All pipeline on the Fig9a workload: wall time per phase
-// (partition / connect / arbitrate / merge, reported as *-ms/op
-// metrics) at each worker count. The sequential residue (partition +
-// merge) bounds the achievable speedup; the breakdown makes a scaling
-// regression attributable to a phase instead of a guess.
-func BenchmarkParallelPhases(b *testing.B) {
-	pts := benchPoints(4000, 1)
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("All/Grid/w=%d", w), func(b *testing.B) {
-			var st sgb.Stats
-			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny,
-				Algorithm: sgb.GridIndex, Seed: 1, Parallelism: w, Stats: &st}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sgb.GroupByAll(pts, opt); err != nil {
-					b.Fatal(err)
-				}
+			if w > 1 {
+				perOp := func(nanos int64) float64 { return float64(nanos) / 1e6 / float64(b.N) }
+				b.ReportMetric(perOp(st.PartitionNanos), "partition-ms/op")
+				b.ReportMetric(perOp(st.ConnectNanos), "connect-ms/op")
+				b.ReportMetric(perOp(st.MergeNanos), "merge-ms/op")
 			}
-			perOp := func(nanos int64) float64 { return float64(nanos) / 1e6 / float64(b.N) }
-			b.ReportMetric(perOp(st.PartitionNanos), "partition-ms/op")
-			b.ReportMetric(perOp(st.ConnectNanos), "connect-ms/op")
-			b.ReportMetric(perOp(st.ArbitrateNanos), "arbitrate-ms/op")
-			b.ReportMetric(perOp(st.MergeNanos), "merge-ms/op")
 		})
 	}
 }

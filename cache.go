@@ -207,7 +207,7 @@ func (c *evalCache) evictOver() {
 			// pick the same victim whatever order the map yields.
 			for k, e := range s.m { //sgblint:allow determinism min-fold with a total-order key tie-break; iteration order cannot change the victim
 				u := e.lastUse.Load()
-				if u < oldest || (u == oldest && keyLess(k, victimKey)) {
+				if u < oldest || (u == oldest && k.less(victimKey)) {
 					oldest, victimShard, victimKey = u, s, k
 				}
 			}
@@ -228,9 +228,9 @@ func (c *evalCache) evictOver() {
 	}
 }
 
-// keyLess orders cache keys by (table, fingerprint) — the
+// less orders cache keys by (table, fingerprint) — the
 // deterministic tie-break for equal-lastUse eviction candidates.
-func keyLess(a, b incrKey) bool {
+func (a incrKey) less(b incrKey) bool {
 	if a.table != b.table {
 		return a.table < b.table
 	}

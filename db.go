@@ -102,9 +102,10 @@ type QueryOptions struct {
 	// Algorithm selects the SGB strategy (the session default is
 	// GridIndex, which supports any number of grouping attributes).
 	Algorithm Algorithm
-	// Parallelism is the similarity pipeline's worker count: 0 picks
+	// Parallelism is the SGB-Any pipeline's worker count: 0 picks
 	// GOMAXPROCS on large inputs, 1 forces sequential evaluation, ≥ 2
-	// forces that many workers. Results are identical at every setting.
+	// forces that many workers. SGB-All always runs the sequential
+	// arbitration loop. Results are identical at every setting.
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration.
 	Seed int64

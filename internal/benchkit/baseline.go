@@ -43,9 +43,6 @@ type BaselineEntry struct {
 	// the workers time-slice one core, so the entry measures sharding
 	// overhead, not scaling — comparisons across baselines must skip it.
 	Oversubscribed bool `json:"oversubscribed,omitempty"`
-	// Phases breaks a parallel SGB-All scaling entry into its pipeline
-	// phases (from the fastest timed run).
-	Phases *PhaseMillis `json:"phase_ms,omitempty"`
 	// P50Millis / P99Millis / Throughput are the serve family's
 	// request-latency percentiles and requests-per-second; for serve
 	// entries Millis holds the whole run's wall time and N the total
@@ -54,14 +51,6 @@ type BaselineEntry struct {
 	P50Millis  float64 `json:"p50_ms,omitempty"`
 	P99Millis  float64 `json:"p99_ms,omitempty"`
 	Throughput float64 `json:"req_per_sec,omitempty"`
-}
-
-// PhaseMillis is the per-phase wall time of one parallel SGB-All run.
-type PhaseMillis struct {
-	Partition float64 `json:"partition"`
-	Connect   float64 `json:"connect"`
-	Arbitrate float64 `json:"arbitrate"`
-	Merge     float64 `json:"merge"`
 }
 
 // Baseline is the full snapshot written by WriteBaseline.
@@ -116,42 +105,18 @@ func WriteBaseline(w io.Writer, cfg Config) error {
 		b.Entries = append(b.Entries, BaselineEntry{Family: "grid", Series: alg.name, N: n, Eps: eps, Millis: millis(d), Groups: g})
 	}
 
-	// Family "scaling": the worker sweep at the scaling experiment's
-	// workload.
+	// Family "scaling": the SGB-Any worker sweep at the scaling
+	// experiment's workload.
 	spts := uniformPoints(cfg.scaled(8000), 10, cfg.Seed+3)
 	for _, w := range workerSweep {
-		for _, anySem := range []bool{false, true} {
-			series := "All"
-			if anySem {
-				series = "Any"
-			}
-			var best core.Stats
-			var bestD time.Duration
-			d, g, err := bestOf3(func() (time.Duration, int, error) {
-				var st core.Stats
-				d, g, err := timeParallel(spts, eps, w, anySem, &st)
-				if err == nil && (bestD == 0 || d < bestD) {
-					bestD, best = d, st
-				}
-				return d, g, err
-			})
-			if err != nil {
-				return err
-			}
-			entry := BaselineEntry{
-				Family: "scaling", Series: seriesName(series, w), N: len(spts), Eps: eps, Millis: millis(d), Groups: g,
-				Oversubscribed: w > b.GoMaxProcs,
-			}
-			if !anySem && w > 1 {
-				entry.Phases = &PhaseMillis{
-					Partition: float64(best.PartitionNanos) / 1e6,
-					Connect:   float64(best.ConnectNanos) / 1e6,
-					Arbitrate: float64(best.ArbitrateNanos) / 1e6,
-					Merge:     float64(best.MergeNanos) / 1e6,
-				}
-			}
-			b.Entries = append(b.Entries, entry)
+		d, g, err := bestOf3(func() (time.Duration, int, error) { return timeParallel(spts, eps, w) })
+		if err != nil {
+			return err
 		}
+		b.Entries = append(b.Entries, BaselineEntry{
+			Family: "scaling", Series: seriesName("Any", w), N: len(spts), Eps: eps, Millis: millis(d), Groups: g,
+			Oversubscribed: w > b.GoMaxProcs,
+		})
 	}
 
 	// Family "incremental": appending one 256-point batch to a retained

@@ -9,26 +9,24 @@ import (
 	"github.com/sgb-db/sgb/internal/geom"
 )
 
-// Beyond the paper: the parallel-scaling experiment for the partition
-// → connect → arbitrate → merge pipeline. The workload is the Fig9a
+// Beyond the paper: the parallel-scaling experiment for the SGB-Any
+// partition → evaluate → merge pipeline. The workload is the Fig9a
 // uniform sweep point (ε = 0.5, L2) so the series land next to the
 // Fig9/Fig10 reproductions; the parallel and sequential runs produce
 // bit-identical groupings at every worker count, so the table also
-// prints the group count as a cross-check. For SGB-All the table
-// breaks the run into its pipeline phases (from Stats), showing where
-// a sweep stops scaling: connect and arbitrate are the parallel
-// sections, partition and merge the sequential residue.
+// prints the group count as a cross-check. SGB-All has no parallel
+// pipeline (its arbitration is order-sensitive and always runs the
+// sequential loop), so it has no series here.
 
 var workerSweep = []int{1, 2, 4, 8}
 
 func init() {
 	register(Experiment{
 		ID:    "scaling",
-		Title: "parallel scaling, workers ∈ {1,2,4,8} (SGB-All JOIN-ANY and SGB-Any, ε-Grid)",
-		Expect: "speedup approaching the machine's core count for both operators: " +
-			"SGB-Any components are order-independent, and SGB-All arbitrates whole " +
-			"ε-connected components on workers, leaving only the ε-tile planning and " +
-			"the provenance-key merge sequential",
+		Title: "parallel scaling, workers ∈ {1,2,4,8} (SGB-Any, ε-Grid)",
+		Expect: "SGB-Any speedup growing with the worker count up to the machine's core " +
+			"count: components are order-independent, so only the ε-tile planning " +
+			"and the Union-Find merge stay sequential",
 		Run: runScaling,
 	})
 }
@@ -48,41 +46,27 @@ func runScaling(cfg Config) error {
 	// measured (and recorded, flagged, in baselines) but print
 	// separately below the warning.
 	gmp := runtime.GOMAXPROCS(0)
-	t := newTable(cfg.Out, "workers", "SGB-All(ms)", "All-speedup", "All part/conn/arb/merge(ms)",
-		"SGB-Any(ms)", "Any-speedup", "groups(All/Any)")
+	t := newTable(cfg.Out, "workers", "SGB-Any(ms)", "speedup", "groups")
 	var over *table
 	var excluded []int
-	var baseAll, baseAny time.Duration
+	var base time.Duration
 	for _, w := range workerSweep {
-		var st core.Stats
-		all, gAll, err := timeParallel(pts, eps, w, false, &st)
-		if err != nil {
-			return err
-		}
-		anyT, gAny, err := timeParallel(pts, eps, w, true, nil)
+		d, g, err := timeParallel(pts, eps, w)
 		if err != nil {
 			return err
 		}
 		if w == 1 {
-			baseAll, baseAny = all, anyT
-		}
-		phases := "sequential"
-		if w > 1 {
-			phases = fmt.Sprintf("%s/%s/%s/%s",
-				ms(time.Duration(st.PartitionNanos)), ms(time.Duration(st.ConnectNanos)),
-				ms(time.Duration(st.ArbitrateNanos)), ms(time.Duration(st.MergeNanos)))
+			base = d
 		}
 		dst := t
 		if w > gmp {
 			if over == nil {
-				over = newTable(cfg.Out, "workers", "SGB-All(ms)", "All-speedup", "All part/conn/arb/merge(ms)",
-					"SGB-Any(ms)", "Any-speedup", "groups(All/Any)")
+				over = newTable(cfg.Out, "workers", "SGB-Any(ms)", "speedup", "groups")
 			}
 			excluded = append(excluded, w)
 			dst = over
 		}
-		dst.row(w, ms(all), speedup(baseAll, all), phases, ms(anyT), speedup(baseAny, anyT),
-			fmt.Sprintf("%d/%d", gAll, gAny))
+		dst.row(w, ms(d), speedup(base, d), g)
 	}
 	t.flush()
 	if over != nil {
@@ -93,29 +77,18 @@ func runScaling(cfg Config) error {
 	return nil
 }
 
-// timeParallel measures one evaluation at an explicit worker count
-// (1 forces the sequential path, so the speedup column is against the
-// true sequential baseline, not a one-worker parallel run). A non-nil
-// stats additionally collects the run's operation counts and pipeline
-// phase timings.
-func timeParallel(pts []geom.Point, eps float64, workers int, anySemantics bool, stats *core.Stats) (time.Duration, int, error) {
+// timeParallel measures one SGB-Any evaluation at an explicit worker
+// count (1 forces the sequential path, so the speedup column is against
+// the true sequential baseline, not a one-worker parallel run).
+func timeParallel(pts []geom.Point, eps float64, workers int) (time.Duration, int, error) {
 	opt := core.Options{
 		Metric:      geom.L2,
 		Eps:         eps,
-		Overlap:     core.JoinAny,
 		Algorithm:   core.GridIndex,
-		Seed:        1,
 		Parallelism: workers,
-		Stats:       stats,
 	}
 	start := time.Now()
-	var res *core.Result
-	var err error
-	if anySemantics {
-		res, err = core.SGBAny(pts, opt)
-	} else {
-		res, err = core.SGBAll(pts, opt)
-	}
+	res, err := core.SGBAny(pts, opt)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -99,8 +99,8 @@ type Options struct {
 	// Stats, when non-nil, accumulates operation counts for the run.
 	Stats *Stats
 
-	// Parallelism selects the worker count of the partition / connect /
-	// arbitrate / merge pipeline. 0 (the default) means GOMAXPROCS,
+	// Parallelism selects the worker count of the SGB-Any partition /
+	// evaluate / merge pipeline. 0 (the default) means GOMAXPROCS,
 	// engaged only for the GridIndex strategy and only once the input
 	// is large enough to amortize the sharding overhead — explicitly
 	// selected comparison strategies (All-Pairs, Bounds-Checking,
@@ -108,11 +108,9 @@ type Options struct {
 	// strategy experiments measure what they name. 1 forces the
 	// sequential path; any value ≥ 2 forces that many workers for any
 	// strategy and input size. Negative values are rejected by
-	// Validate. Groupings are bit-identical at every worker count:
-	// SGB-Any components are order-independent, and parallel SGB-All
-	// arbitrates whole ε-connected components on workers and merges
-	// their outputs back into the sequential processing order (keyed
-	// JOIN-ANY draws make components independent; see parallelall.go).
+	// Validate. SGB-All ignores it and always runs the one sequential
+	// arbitration loop. Groupings are bit-identical at every worker
+	// count: SGB-Any components are order-independent.
 	Parallelism int
 
 	// IndexHysteresis tunes when the on-the-fly index refreshes a
@@ -152,10 +150,10 @@ func (o Options) Validate() error {
 }
 
 // parallelThreshold is the input size below which Parallelism = 0
-// (auto) stays sequential: sharding a few thousand points costs more
-// than it saves. An explicit Parallelism ≥ 2 bypasses the threshold,
-// which is what the equivalence tests use to exercise the parallel
-// pipeline on small inputs.
+// (auto) keeps SGB-Any sequential: sharding a few thousand points
+// costs more than it saves. An explicit Parallelism ≥ 2 bypasses the
+// threshold, which is what the equivalence tests use to exercise the
+// parallel pipeline on small inputs.
 const parallelThreshold = 4096
 
 // workers resolves the effective worker count for an input of n
@@ -193,14 +191,17 @@ type Stats struct {
 	GroupMerges          int64 // SGB-Any merges
 	RecursionDepth       int   // FORM-NEW-GROUP recursion depth reached
 
-	// Per-phase wall-clock of the parallel SGB-All pipeline (zero when
-	// the run stayed sequential). The split shows where a worker sweep
-	// stops scaling: partition and merge are the sequential residue,
-	// connect and arbitrate are the parallel sections.
+	// Per-phase wall-clock of the parallel SGB-Any pipeline (zero when
+	// the run stayed sequential, and always zero for SGB-All). The split
+	// shows where a worker sweep stops scaling: partition and merge are
+	// the sequential residue, connect is the parallel section.
 	PartitionNanos int64 // multi-axis ε-tile planning
-	ConnectNanos   int64 // per-tile + frontier ε-component discovery
-	ArbitrateNanos int64 // per-batch traced arbitration
-	MergeNanos     int64 // provenance-key sort + result assembly
+	ConnectNanos   int64 // per-tile evaluate + frontier ε-edge probes
+	// Deprecated: ArbitrateNanos is always 0 since SGB-All lost its
+	// parallel arbitration phase; it is kept only for perfbench's
+	// per-layer report.
+	ArbitrateNanos int64
+	MergeNanos     int64 // Union-Find reduction of tiles and frontier edges
 }
 
 func (s *Stats) addDist(n int64) {
@@ -244,11 +245,10 @@ func (s *Stats) noteDepth(d int) {
 	}
 }
 
-// Phases of the parallel SGB-All pipeline, for notePhase.
+// Phases of the parallel SGB-Any pipeline, for notePhase.
 const (
 	phasePartition = iota
 	phaseConnect
-	phaseArbitrate
 	phaseMerge
 )
 
@@ -263,8 +263,6 @@ func (s *Stats) notePhase(phase int, start *time.Time) {
 			s.PartitionNanos += d
 		case phaseConnect:
 			s.ConnectNanos += d
-		case phaseArbitrate:
-			s.ArbitrateNanos += d
 		case phaseMerge:
 			s.MergeNanos += d
 		}
@@ -297,7 +295,6 @@ func (s *Stats) merge(o *Stats) {
 	}
 	s.PartitionNanos += o.PartitionNanos
 	s.ConnectNanos += o.ConnectNanos
-	s.ArbitrateNanos += o.ArbitrateNanos
 	s.MergeNanos += o.MergeNanos
 }
 
@@ -359,9 +356,8 @@ func checkInput(points []geom.Point) (int, error) {
 // instead of consuming a shared sequential stream. The draws stay
 // deterministic per (seed, point sequence) — and, crucially, they stop
 // depending on HOW MANY other points happened to face a multi-candidate
-// choice earlier, which is what lets the parallel pipeline arbitrate
-// ε-connected components independently and the decremental path replay
-// survivors, both bit-identical to a sequential run.
+// choice earlier, which is what lets the decremental path replay
+// survivors bit-identically to a from-scratch run over them.
 type rng struct{ state uint64 }
 
 const splitmixGamma = 0x9E3779B97F4A7C15

@@ -28,9 +28,9 @@
 //     points are processed in arrival order against the strategy
 //     selected by Options.Algorithm.
 //   - Parallel pipeline (Options.Parallelism > 1; parallel.go):
-//     partition → shard-local evaluate → merge for SGB-Any, and
-//     worker-precomputed ε-adjacency feeding the sequential
-//     arbitration loop for SGB-All (adjfinder.go).
+//     partition → shard-local evaluate → merge, for SGB-Any only.
+//     SGB-All's arbitration is order-sensitive; it always runs the
+//     one sequential loop (sgbAllState.run) whatever Parallelism says.
 //   - Resumable / incremental (AllEvaluator, AnyEvaluator; resume.go):
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an
@@ -57,5 +57,6 @@
 // through Options.Seed for reproducibility). Only SGB-Any's components
 // are order-independent — the property (from the companion paper on
 // order-independent SGB semantics, see PAPERS.md) that makes both the
-// sharded parallel merge and incremental appends exact.
+// sharded parallel merge and incremental appends exact, and the reason
+// only SGB-Any has a parallel pipeline.
 package core

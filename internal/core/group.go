@@ -89,9 +89,7 @@ type sgbAllState struct {
 	// pointGroup maps each placed input index to the id of the group
 	// currently holding it (-1 while unplaced, eliminated, or
 	// deferred). Maintenance is one store per placement, so the
-	// sequential strategies pay nothing measurable for it; the parallel
-	// pipeline's worker states share one array with component-disjoint
-	// writes.
+	// strategies pay nothing measurable for it.
 	pointGroup []int32
 
 	// rank maps stored point index → live rank (the point's position
@@ -102,11 +100,6 @@ type sgbAllState struct {
 	// replayed survivor draws with the same key a from-scratch run over
 	// the survivors would use.
 	rank []int32
-
-	// trace, when non-nil, records the provenance keys the parallel
-	// SGB-All merge sorts by (see parallelall.go). Sequential runs leave
-	// it nil.
-	trace *allTrace
 
 	hullPts     []geom.Point       // scratch member-point views for hull rebuilds
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
@@ -121,22 +114,14 @@ func (st *sgbAllState) drawKey(pi int) int {
 	return pi
 }
 
-// eliminatePoint records m as dropped by ELIMINATE (and its event key,
-// when the parallel pipeline is tracing).
+// eliminatePoint records m as dropped by ELIMINATE.
 func (st *sgbAllState) eliminatePoint(m int) {
 	st.eliminated = append(st.eliminated, m)
-	if st.trace != nil {
-		st.trace.elimKeys = append(st.trace.elimKeys, st.trace.eventKey())
-	}
 }
 
-// deferPoint records m as deferred into the FORM-NEW-GROUP set S′ (and
-// its event key, when the parallel pipeline is tracing).
+// deferPoint records m as deferred into the FORM-NEW-GROUP set S′.
 func (st *sgbAllState) deferPoint(m int) {
 	st.deferred = append(st.deferred, m)
-	if st.trace != nil {
-		st.trace.deferKeys = append(st.trace.deferKeys, st.trace.eventKey())
-	}
 }
 
 // finder abstracts FindCloseGroups over the strategies.
@@ -241,9 +226,6 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 	g.hullDirty = true
 	st.groups = append(st.groups, g)
 	st.pointGroup[pi] = int32(g.id)
-	if st.trace != nil {
-		st.trace.noteGroup()
-	}
 	st.opt.Stats.addCreated(1)
 	st.finder.groupCreated(st, g)
 	return g

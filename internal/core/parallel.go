@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
@@ -9,9 +10,10 @@ import (
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
-// This file is the parallel arm of the SGB-Any pipeline (SGB-All's
-// parallel pipeline lives in parallelall.go and shares the frontier
-// machinery below):
+// This file is the parallel arm of the SGB-Any pipeline. SGB-All has
+// no parallel arm: its arbitration is order-sensitive, and a
+// component-parallel version lost to the sequential loop on every
+// measured workload, so it always runs sgbAllState.run.
 //
 //	partition — cut the input into multi-axis ε-tiles (internal/partition)
 //	evaluate  — per-tile SGB-Any runs on worker goroutines, each into
@@ -30,12 +32,16 @@ import (
 //
 // sgbAnyParallel runs the tiled SGB-Any pipeline with the given worker
 // count. It reports false when the input cannot be split into at least
-// two ε-tiles (the caller then evaluates sequentially).
+// two ε-tiles (the caller then evaluates sequentially). The partition,
+// connect (evaluate + frontier) and merge wall-clock is charged to the
+// matching Stats phase timers.
 func sgbAnyParallel(ps *geom.PointSet, opt Options, uf *unionfind.UF, workers int) bool {
+	phaseStart := time.Now() //sgblint:allow determinism wall-clock feeds phase-timing stats only, never result rows
 	plan := partition.Split(ps, opt.Eps, workers)
 	if plan == nil {
 		return false
 	}
+	opt.Stats.notePhase(phasePartition, &phaseStart)
 
 	type tileResult struct {
 		uf    *unionfind.UF
@@ -69,6 +75,7 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, uf *unionfind.UF, workers in
 		}(wi)
 	}
 	wg.Wait()
+	opt.Stats.notePhase(phaseConnect, &phaseStart)
 
 	// Merge: fold tile partitions and frontier edges into the shared
 	// forest. Union-Find merging is order-independent, so the final
@@ -81,6 +88,7 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, uf *unionfind.UF, workers in
 		opt.Stats.addMerge(int64(uf.UnionEdges(frontEdges[wi])))
 		opt.Stats.merge(&frontStats[wi])
 	}
+	opt.Stats.notePhase(phaseMerge, &phaseStart)
 	return true
 }
 

@@ -156,7 +156,7 @@ func (e *AllEvaluator) Result() *Result {
 		st = st.finalizeClone()
 		next := st.deferred
 		st.deferred = nil
-		st.run(next, nil, 1)
+		st.run(next, 1)
 	}
 	res := materializeAll(st, true)
 	if e.live != nil {

@@ -41,18 +41,6 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// Pipeline dispatch: with more than one worker, whole ε-connected
-	// components arbitrate concurrently on worker-private states and
-	// their outputs merge back into the sequential processing order —
-	// bit-identical groups for every ON-OVERLAP semantics (see
-	// parallelall.go). The parallel path declines degenerate inputs
-	// (everything in one ε-tile), which then run sequentially below.
-	if w := opt.workers(ps.Len()); w > 1 {
-		if r, ok := sgbAllParallel(ps, opt, w); ok {
-			return r, nil
-		}
-	}
-
 	st := &sgbAllState{
 		points:     ps,
 		opt:        opt,
@@ -69,7 +57,7 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 	for i := range order {
 		order[i] = i
 	}
-	st.run(order, nil, 0)
+	st.run(order, 0)
 	return materializeAll(st, false), nil
 }
 
@@ -78,9 +66,7 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 // grouped by a recursive pass that only considers groups formed at its
 // own recursion stage ("form new groups out of the points in Oset"),
 // exactly as Example 1 creates the singleton group g3{a5}.
-// keys, when tracing, carries the occurrence key of each order entry
-// (nil at depth 0, where a point's key is just itself).
-func (st *sgbAllState) run(order []int, keys [][]int32, depth int) {
+func (st *sgbAllState) run(order []int, depth int) {
 	st.opt.Stats.noteDepth(depth)
 	// Groups created before this stage are frozen for candidacy: the
 	// recursive pass must not re-admit deferred points into the groups
@@ -96,7 +82,9 @@ func (st *sgbAllState) run(order []int, keys [][]int32, depth int) {
 		st.finder.stageReset(st)
 	}
 
-	st.processPoints(order, keys)
+	for _, pi := range order {
+		st.processOne(pi)
+	}
 
 	// FORM-NEW-GROUP: recursively group the deferred set S′ until it is
 	// empty. Each stage strictly shrinks S′ (a deferred point implies at
@@ -104,41 +92,17 @@ func (st *sgbAllState) run(order []int, keys [][]int32, depth int) {
 	if st.opt.Overlap == FormNewGroup && len(st.deferred) > 0 {
 		next := st.deferred
 		st.deferred = nil
-		var nextKeys [][]int32
-		if st.trace != nil {
-			nextKeys = st.trace.deferKeys
-			st.trace.deferKeys = nil
-		}
-		st.run(next, nextKeys, depth+1)
-	}
-}
-
-// processPoints runs the main per-point arbitration loop of
-// Procedure 1 over the given input order, one processOne per point.
-func (st *sgbAllState) processPoints(order []int, keys [][]int32) {
-	if st.trace == nil {
-		for _, pi := range order {
-			st.processOne(pi)
-		}
-		return
-	}
-	for oi, pi := range order {
-		if keys == nil {
-			st.trace.beginStage0(int32(pi))
-		} else {
-			st.trace.beginOccurrence(keys[oi])
-		}
-		st.processOne(pi)
+		st.run(next, depth+1)
 	}
 }
 
 // processOne arbitrates a single input point: probe for candidate and
 // overlap groups, place (or defer / eliminate) the point, then apply
 // the overlap clause to the partially matching groups. It is the
-// single place points enter the grouping state — run drives it (via
-// processPoints) for one-shot evaluation including the FORM-NEW-GROUP
-// recursion stages, and the incremental AllEvaluator drives it batch
-// by batch, so retained state after k points is identical either way.
+// single place points enter the grouping state — run drives it for
+// one-shot evaluation including the FORM-NEW-GROUP recursion stages,
+// and the incremental AllEvaluator drives it batch by batch, so
+// retained state after k points is identical either way.
 func (st *sgbAllState) processOne(pi int) {
 	candidates, overlaps := st.finder.findCloseGroups(st, pi)
 	st.processGroupingAll(pi, candidates)

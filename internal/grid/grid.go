@@ -313,12 +313,19 @@ func (t *Table) rebuild() {
 	t.used = t.live
 }
 
-// allocSlab pops the freelist or grows the slab arena.
+// allocSlab pops the freelist or grows the slab arena. A full arena
+// doubles explicitly: append (and slices.Grow) grow large slices only
+// about 1.25× per step, which copies a many-cell arena dozens of times.
 func (t *Table) allocSlab() int32 {
 	if t.free >= 0 {
 		i := t.free
 		t.free = t.slabs[i].next
 		return i
+	}
+	if len(t.slabs) == cap(t.slabs) {
+		grown := make([]slab, len(t.slabs), max(2*cap(t.slabs), 8))
+		copy(grown, t.slabs)
+		t.slabs = grown
 	}
 	t.slabs = append(t.slabs, slab{})
 	return int32(len(t.slabs) - 1)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/sgb-db/sgb/internal/geom"
 )
@@ -464,5 +466,37 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 				t.Fatalf("d=%d post-remove probe %d: bulk %v vs incremental %v", d, i, b1, b2)
 			}
 		}
+	}
+}
+
+// TestSlabArenaGrowthAllocs registers ids in many distinct cells, one
+// slab each, and bounds the bytes allocated meanwhile by a small
+// multiple of the final slab arena: the arena must grow geometrically
+// by doubling, not by append's ~1.25× large-slice steps, which copy a
+// many-cell arena dozens of times. Reset must keep the arena's
+// capacity, so a refill allocates no slabs at all.
+func TestSlabArenaGrowthAllocs(t *testing.T) {
+	const cells = 50000
+	g := NewCap(1, 1, cells) // pre-sized directory: only the arenas grow
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cells; i++ {
+		g.Add([]int64{int64(i)}, int32(i))
+	}
+	runtime.ReadMemStats(&after)
+	arena := uint64(cap(g.slabs)) * uint64(unsafe.Sizeof(slab{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes for a %d-byte slab arena", got, arena)
+	if got > 3*arena {
+		t.Fatalf("registering %d cells allocated %d bytes, want <= 3× the %d-byte slab arena", cells, got, arena)
+	}
+	capBefore := cap(g.slabs)
+	g.Reset()
+	for i := 0; i < cells; i++ {
+		g.Add([]int64{int64(i)}, int32(i))
+	}
+	if cap(g.slabs) != capBefore {
+		t.Fatalf("refill after Reset regrew the slab arena: cap %d -> %d", capBefore, cap(g.slabs))
 	}
 }

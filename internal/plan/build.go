@@ -28,10 +28,10 @@ type Builder struct {
 	// and benchmarks override it to compare All-Pairs, Bounds-Checking,
 	// and the R-tree.
 	SGBAlgorithm core.Algorithm
-	// SGBParallelism is the worker count of the similarity group-by
-	// pipeline: 0 (the planner default) lets the operator pick
-	// GOMAXPROCS workers on large inputs, 1 forces sequential
-	// evaluation, ≥ 2 forces that many workers.
+	// SGBParallelism is the worker count of the SGB-Any pipeline: 0
+	// (the planner default) lets the operator pick GOMAXPROCS workers
+	// on large inputs, 1 forces sequential evaluation, ≥ 2 forces that
+	// many workers. SGB-All always evaluates sequentially.
 	SGBParallelism int
 	// SGBSeed seeds JOIN-ANY arbitration.
 	SGBSeed int64

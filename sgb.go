@@ -24,13 +24,12 @@
 // SQL engine's default) that outperforms the R-tree on the paper's
 // low-dimensional workloads.
 //
-// Evaluation runs as a partition → shard-local evaluate → merge
-// pipeline when Options.Parallelism (or the SQL session's SET
-// parallelism) selects more than one worker: SGB-Any shards spatially
-// and merges components through a Union-Find reduction, SGB-All
-// precomputes its candidate-probe/refine distance work on workers
-// while keeping the paper's sequential arbitration order. Groupings
-// are identical at every worker count.
+// SGB-Any evaluation runs as a partition → shard-local evaluate →
+// merge pipeline when Options.Parallelism (or the SQL session's SET
+// parallelism) selects more than one worker: the input shards
+// spatially and components merge through a Union-Find reduction.
+// SGB-All always runs the paper's sequential arbitration loop and
+// ignores Parallelism. Groupings are identical at every worker count.
 package sgb
 
 import (
